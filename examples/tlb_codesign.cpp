@@ -60,10 +60,10 @@ int main(int argc, char** argv) {
     cfg.accel.translation.private_tlb.entries = 4;
     cfg.accel.translation.l2_tlb_present = false;
     cfg.accel.translation.filter_registers = true;
-    sweep.add({"p4-s0-filt-exhaustive", std::move(cfg), model,
-               /*multicore=*/false, /*functional=*/false, /*seed=*/1,
-               /*placement=*/nullptr,
-               std::make_shared<const lowering::ExhaustiveTiling>()});
+    sweep.add({.name = "p4-s0-filt-exhaustive",
+               .config = std::move(cfg),
+               .model = model,
+               .tiling = std::make_shared<const lowering::ExhaustiveTiling>()});
   }
 
   const std::vector<sim::Report> reports = sweep.run({.threads = 4});

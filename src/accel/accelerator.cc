@@ -101,21 +101,18 @@ void Accelerator::exec_one(const Instruction& inst) {
       GEMMINI_CHECK_MSG(
           cfg_.dataflow == Dataflow::kBoth || cfg_.dataflow == inst.dataflow,
           "dataflow not supported by this instantiation");
-      stats_.counter("config").add();
       break;
     }
     case Opcode::kConfigLd: {
       ld_[inst.ld_channel].stride = inst.stride_bytes;
       ld_[inst.ld_channel].scale = inst.ld_scale;
       ld_[inst.ld_channel].int4 = inst.ld_int4;
-      stats_.counter("config").add();
       break;
     }
     case Opcode::kConfigSt: {
       st_stride_ = inst.stride_bytes;
       pool_window_ = inst.pool_window;
       pool_stride_ = inst.pool_stride;
-      stats_.counter("config").add();
       break;
     }
     case Opcode::kMvin: {
@@ -233,12 +230,10 @@ void Accelerator::exec_one(const Instruction& inst) {
     case Opcode::kFence: {
       const Cycle t = std::max({ld_free_, ex_free_, st_free_, frontier_});
       ld_free_ = ex_free_ = st_free_ = t;
-      stats_.counter("fences").add();
       break;
     }
     case Opcode::kFlush: {
       translation_.flush();
-      stats_.counter("flushes").add();
       break;
     }
   }

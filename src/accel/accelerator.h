@@ -21,7 +21,6 @@
 #include "src/accel/hazards.h"
 #include "src/accel/scratchpad.h"
 #include "src/arch/config.h"
-#include "src/base/stats.h"
 #include "src/isa/isa.h"
 #include "src/mem/memsys.h"
 #include "src/vm/ptw.h"
@@ -147,7 +146,6 @@ class Accelerator {
   Cycle start_at_ = 0;
 
   AccelReport report_;
-  StatSet stats_;
 };
 
 }  // namespace gemmini

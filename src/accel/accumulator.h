@@ -11,7 +11,6 @@
 
 #include "src/arch/config.h"
 #include "src/base/fixed.h"
-#include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/energy/energy.h"
@@ -89,8 +88,6 @@ class Accumulator {
     return nrows * dim_ * 4 * 8;
   }
 
-  const StatSet& stats() const { return stats_; }
-
  private:
   DType dtype_;
   unsigned dim_;
@@ -101,7 +98,6 @@ class Accumulator {
   std::vector<Cycle> bank_busy_;
   fault::Injector* injector_;
   energy::SramEnergy energy_;
-  StatSet stats_;
 };
 
 }  // namespace gemmini

@@ -15,7 +15,6 @@
 #include "src/accel/accumulator.h"
 #include "src/accel/scratchpad.h"
 #include "src/arch/config.h"
-#include "src/base/stats.h"
 #include "src/base/types.h"
 #include "src/isa/isa.h"
 #include "src/mem/memsys.h"
@@ -80,7 +79,6 @@ class DmaEngine {
                    unsigned cols, unsigned out_shift, Activation act,
                    Cycle start, bool functional);
 
-  const StatSet& stats() const { return stats_; }
   TranslationSystem& translation() { return translation_; }
 
   /// Drops in-flight state (absolute times) between independent runs.
@@ -119,7 +117,6 @@ class DmaEngine {
   /// Functional-path staging buffer, reused across transfers so each
   /// mvin/mvout doesn't pay a zero-initialization of the whole payload.
   std::vector<std::uint8_t> stage_;
-  StatSet stats_;
 };
 
 }  // namespace gemmini

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/arch/config.h"
-#include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/energy/energy.h"
@@ -20,6 +19,11 @@ namespace gemmini {
 
 class Scratchpad {
  public:
+  struct Stats {
+    /// Cycles reservations waited for a busy bank.
+    std::uint64_t bank_conflict_cycles = 0;
+  };
+
   /// `energy` (default-constructed = off) charges the per-row SRAM price
   /// on every reserve.
   explicit Scratchpad(const GemminiConfig& cfg,
@@ -64,11 +68,13 @@ class Scratchpad {
         static_cast<std::uint8_t>(1u << (bit % 8));
   }
 
+  /// Frees every bank and zeroes the counts (one run's window).
   void reset_time() {
     for (auto& b : bank_busy_) b = 0;
+    stats_ = Stats{};
   }
 
-  const StatSet& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
 
  private:
   std::uint64_t row_bytes_;
@@ -78,7 +84,7 @@ class Scratchpad {
   std::vector<Cycle> bank_busy_;
   fault::Injector* injector_;
   energy::SramEnergy energy_;
-  StatSet stats_;
+  Stats stats_;
 };
 
 }  // namespace gemmini

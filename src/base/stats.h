@@ -1,21 +1,19 @@
 #pragma once
-// Named statistics: counters, windowed time series, exact percentiles, and
-// time-weighted accumulators.
+// Sample statistics: exact percentiles and time-weighted accumulators.
 //
-// Every simulated component owns a StatSet; components register counters by
-// name and the SoC-level report concatenates them. The TimeSeries type backs
-// the paper's Fig. 4 (TLB miss rate over a full ResNet-50 inference): it
-// buckets events into fixed-width cycle windows and reports a per-window
-// rate. `percentile`/`percentile_sorted` compute exact nearest-rank
-// percentiles from stored samples (no sketches — the serving layer's tail
-// latencies are exact), and `TimeWeighted` integrates a piecewise-constant
-// value (e.g. a queue depth) over simulated time so its mean weights each
-// level by how long it was held, not by how often it changed.
+// `percentile`/`percentile_sorted` compute exact nearest-rank percentiles
+// from stored samples (no sketches — the serving layer's tail latencies are
+// exact), and `TimeWeighted` integrates a piecewise-constant value (e.g. a
+// queue depth) over simulated time so its mean weights each level by how
+// long it was held, not by how often it changed.
+//
+// Event counts are not kept here: each simulated component holds the counts
+// something reads as plain fields of its own `Stats` struct, and the
+// metrics registry (src/metrics/metrics.h) carries the named, sampled
+// counters that telemetry and the Fig. 4 windowed miss rate read.
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "src/base/types.h"
@@ -102,101 +100,6 @@ class TimeWeighted {
   double value_ = 0.0;
   double integral_ = 0.0;
   double max_ = 0.0;
-};
-
-/// A monotonically increasing named counter.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Ratio helper for hit/miss style statistics.
-struct Ratio {
-  std::uint64_t numerator = 0;
-  std::uint64_t denominator = 0;
-  double value() const {
-    return denominator == 0 ? 0.0
-                            : static_cast<double>(numerator) /
-                                  static_cast<double>(denominator);
-  }
-};
-
-/// Buckets (event, total) pairs into fixed-width cycle windows. Used to
-/// profile e.g. TLB miss rate over time (paper Fig. 4).
-class TimeSeries {
- public:
-  explicit TimeSeries(Cycle window_cycles = 100000)
-      : window_(window_cycles == 0 ? 1 : window_cycles) {}
-
-  /// Record one observation at time `t`; `hit==false` counts as the tracked
-  /// event (e.g. a miss).
-  void record(Cycle t, bool event) {
-    const std::size_t idx = static_cast<std::size_t>(t / window_);
-    if (idx >= totals_.size()) {
-      totals_.resize(idx + 1, 0);
-      events_.resize(idx + 1, 0);
-    }
-    ++totals_[idx];
-    if (event) ++events_[idx];
-  }
-
-  Cycle window_cycles() const { return window_; }
-  std::size_t num_windows() const { return totals_.size(); }
-
-  /// Event rate (events/total) in window `i`; 0 for empty windows.
-  double rate(std::size_t i) const {
-    if (i >= totals_.size() || totals_[i] == 0) return 0.0;
-    return static_cast<double>(events_[i]) / static_cast<double>(totals_[i]);
-  }
-
-  std::uint64_t events(std::size_t i) const {
-    return i < events_.size() ? events_[i] : 0;
-  }
-  std::uint64_t totals(std::size_t i) const {
-    return i < totals_.size() ? totals_[i] : 0;
-  }
-
-  /// Maximum per-window event rate over all non-empty windows.
-  double max_rate() const {
-    double m = 0.0;
-    for (std::size_t i = 0; i < totals_.size(); ++i) {
-      if (totals_[i] > 0 && rate(i) > m) m = rate(i);
-    }
-    return m;
-  }
-
-  void clear() {
-    totals_.clear();
-    events_.clear();
-  }
-
- private:
-  Cycle window_;
-  std::vector<std::uint64_t> totals_;
-  std::vector<std::uint64_t> events_;
-};
-
-/// A registry of named counters, suitable for report printing.
-class StatSet {
- public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  std::uint64_t value(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
-  }
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  void reset();
-
-  /// Renders "name: value" lines, one per counter, with `prefix` prepended.
-  std::string report(const std::string& prefix = "") const;
-
- private:
-  std::map<std::string, Counter> counters_;
 };
 
 }  // namespace gemmini

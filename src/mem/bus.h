@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/metrics/metrics.h"
@@ -45,6 +44,11 @@ class Bus {
         default;
   };
 
+  /// Cycles the bus spent transferring (what utilization() divides).
+  struct Stats {
+    std::uint64_t busy_cycles = 0;
+  };
+
   explicit Bus(const BusConfig& cfg, std::string name = "bus",
                trace::Tracer* tracer = nullptr,
                trace::Unit unit = trace::Unit::kSystemBus,
@@ -70,7 +74,6 @@ class Bus {
     const std::size_t ri = requestor_index(requestor.value);
     RequestorStats& rs = by_requestor_[ri];
     if (start > t) {
-      stats_.counter("wait_cycles").add(start - t);
       rs.wait_cycles += start - t;
       if (tracer_) {
         tracer_->span_on(unit_, trace::EventKind::kBusWait, t, start, bytes,
@@ -82,9 +85,7 @@ class Bus {
       }
     }
     busy_until_ = start + occupancy;
-    stats_.counter("busy_cycles").add(occupancy);
-    stats_.counter("transfers").add();
-    stats_.counter("bytes").add(bytes);
+    stats_.busy_cycles += occupancy;
     rs.transfers += 1;
     rs.bytes += bytes;
     if (tracer_) {
@@ -99,11 +100,12 @@ class Bus {
   }
 
   Cycle busy_until() const { return busy_until_; }
-  /// Resets occupancy and the per-requestor table (which therefore always
-  /// describes the window since the last reset — one Session run). The
-  /// aggregate StatSet deliberately survives, like every other component's.
+  /// Resets occupancy, the busy count and the per-requestor table (which
+  /// therefore always describe the window since the last reset — one
+  /// Session run).
   void reset_time() {
     busy_until_ = 0;
+    stats_ = Stats{};
     by_requestor_.clear();
     // Registry entries survive; the handle vectors are rebuilt as
     // requestors reappear (counter() returns the same node).
@@ -112,9 +114,10 @@ class Bus {
   }
 
   const BusConfig& config() const { return cfg_; }
-  const StatSet& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
   /// Per-requestor accounting, in first-seen order (sort by `requestor` for
-  /// stable reporting).
+  /// stable reporting). Bus-wide bytes, transfers and wait cycles are sums
+  /// over its rows.
   const std::vector<RequestorStats>& requestor_stats() const {
     return by_requestor_;
   }
@@ -122,7 +125,7 @@ class Bus {
   /// Fraction of cycles busy in [0, horizon).
   double utilization(Cycle horizon) const {
     if (horizon == 0) return 0.0;
-    return static_cast<double>(stats_.value("busy_cycles")) /
+    return static_cast<double>(stats_.busy_cycles) /
            static_cast<double>(horizon);
   }
 
@@ -151,7 +154,7 @@ class Bus {
   metrics::Counter* m_wait_ = nullptr;
   trace::Unit unit_;
   Cycle busy_until_ = 0;
-  StatSet stats_;
+  Stats stats_;
   std::vector<RequestorStats> by_requestor_;
   /// Parallel to by_requestor_ (only populated when metrics are on).
   std::vector<metrics::Counter*> m_req_bytes_;

@@ -9,10 +9,8 @@
 // in L2.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
 
@@ -40,7 +38,12 @@ struct CacheAccess {
 
 class Cache {
  public:
-  explicit Cache(const CacheConfig& cfg, std::string name = "l2");
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+
+  explicit Cache(const CacheConfig& cfg);
 
   /// Access one cache line containing `addr`. Allocates on miss and reports
   /// whether a dirty victim was evicted. `requestor` is used only for stats.
@@ -54,14 +57,13 @@ class Cache {
   void flush();
 
   const CacheConfig& config() const { return cfg_; }
-  const StatSet& stats() const { return stats_; }
-  StatSet& stats() { return stats_; }
+  const Stats& stats() const { return stats_; }
+  /// Zeroes the hit/miss counts (the start of a run) without touching tags.
+  void reset_stats() { stats_ = Stats{}; }
 
-  std::uint64_t hits() const { return stats_.value("hits"); }
-  std::uint64_t misses() const { return stats_.value("misses"); }
   double miss_rate() const {
-    const double total = static_cast<double>(hits() + misses());
-    return total == 0 ? 0.0 : static_cast<double>(misses()) / total;
+    const double total = static_cast<double>(stats_.hits + stats_.misses);
+    return total == 0 ? 0.0 : static_cast<double>(stats_.misses) / total;
   }
 
  private:
@@ -79,11 +81,10 @@ class Cache {
   std::uint64_t tag_of(std::uint64_t line) const { return line / num_sets_; }
 
   CacheConfig cfg_;
-  std::string name_;
   unsigned num_sets_;
   std::vector<Line> lines_;  // num_sets_ * ways, set-major
   std::uint64_t lru_clock_ = 0;
-  StatSet stats_;
+  Stats stats_;
 };
 
 }  // namespace gemmini

@@ -121,7 +121,6 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
       rq.arrival > bank.busy_until ? rq.arrival : bank.busy_until;
   if (bank_ready > rq.arrival) {
     cs.queue_wait_cycles += bank_ready - rq.arrival;
-    stats_.counter("queue_wait_cycles").add(bank_ready - rq.arrival);
     if (tracer_) {
       tracer_->span(trace::EventKind::kDramQueueWait, rq.arrival, bank_ready,
                     rq.bytes, rq.requestor, global_bank);
@@ -139,7 +138,6 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
         cfg_.refresh_latency;
     if (start < window_end) {
       cs.refresh_stall_cycles += window_end - start;
-      stats_.counter("refresh_stall_cycles").add(window_end - start);
       if (tracer_) {
         tracer_->span(trace::EventKind::kDramRefresh, start, window_end,
                       rq.bytes, rq.requestor, global_bank);
@@ -161,9 +159,6 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
   const bool row_hit = bank.open_valid && bank.open_row == rq.row;
   const Cycle access_lat =
       row_hit ? cfg_.row_hit_latency : cfg_.row_miss_latency;
-  stats_.counter(row_hit ? "row_hits" : "row_misses").add();
-  stats_.counter("accesses").add();
-  stats_.counter("bytes").add(rq.bytes);
   cs.accesses += 1;
   cs.bytes += rq.bytes;
   (row_hit ? cs.row_hits : cs.row_misses) += 1;
@@ -252,12 +247,10 @@ void Dram::write(PAddr addr, std::uint64_t bytes, Cycle t,
   note_queue_depth(ci, t);
   ChannelStats& cs = by_channel_[ci];
   cs.writes_buffered += 1;
-  stats_.counter("writes_buffered").add();
   if (ch.queue.size() >= cfg_.write_queue_depth) {
     // Write-drain mode: the queue hit its depth; burst-issue writes down to
     // the floor so the bus does one drain episode instead of trickling.
     cs.write_drains += 1;
-    stats_.counter("write_drains").add();
     Cycle last_done = t;
     std::uint64_t drained_bytes = 0;
     while (ch.queue.size() > cfg_.write_drain_floor) {

@@ -193,13 +193,13 @@ class Dram {
   std::size_t pending_writes() const;
 
   const DramConfig& config() const { return cfg_; }
-  const StatSet& stats() const { return stats_; }
   /// Per-requestor accounting, in first-seen order, since the last
   /// reset_time (i.e. one Session run).
   const std::vector<RequestorStats>& requestor_stats() const {
     return by_requestor_;
   }
   /// Per-channel accounting, indexed by channel, since the last reset_time.
+  /// Controller-wide totals are the sum over channels.
   const std::vector<ChannelStats>& channel_stats() const {
     return by_channel_;
   }
@@ -271,7 +271,6 @@ class Dram {
   energy::EnergyMeter* energy_;
   std::vector<Channel> channels_;
   std::uint64_t next_seq_ = 0;
-  StatSet stats_;
   std::vector<RequestorStats> by_requestor_;
   std::vector<ChannelStats> by_channel_;
   std::vector<ChannelMetrics> m_channels_;

@@ -12,7 +12,7 @@ MemorySystem::MemorySystem(const MemSysConfig& cfg, trace::Tracer* tracer,
       tracer_(tracer),
       sysbus_(cfg.system_bus, "sysbus", tracer, trace::Unit::kSystemBus,
               metrics),
-      l2_(std::make_unique<Cache>(cfg.l2, "l2")),
+      l2_(std::make_unique<Cache>(cfg.l2)),
       membus_(cfg.memory_bus, "membus", tracer, trace::Unit::kMemoryBus,
               metrics),
       dram_(cfg.dram, tracer, injector, metrics, energy) {
@@ -25,9 +25,6 @@ MemorySystem::MemorySystem(const MemSysConfig& cfg, trace::Tracer* tracer,
 
 Cycle MemorySystem::access(PAddr addr, std::uint64_t bytes, bool write,
                            Cycle t, RequestorId requestor) {
-  stats_.counter("accesses").add();
-  stats_.counter("bytes").add(bytes);
-
   const unsigned line = cfg_.l2.line_bytes;
   Cycle done = t;
   PAddr cur = addr;
@@ -54,7 +51,6 @@ Cycle MemorySystem::access(PAddr addr, std::uint64_t bytes, bool write,
       // bus to DRAM, DRAM access, bus back (folded into DRAM burst).
       const Cycle at_dram = membus_.transfer(line_done, line, requestor);
       line_done = dram_.access(cur - (cur % line), line, at_dram, requestor);
-      stats_.counter("l2_refills").add();
     }
     if (ca.writeback) {
       // Dirty victim drains to DRAM in the background; it occupies the
@@ -64,7 +60,7 @@ Cycle MemorySystem::access(PAddr addr, std::uint64_t bytes, bool write,
       // reads by the channel's policy) when write buffering is on.
       const Cycle wb_at = membus_.transfer(line_done, line, requestor);
       dram_.write(ca.victim_line, line, wb_at, requestor);
-      stats_.counter("l2_writebacks").add();
+      ++stats_.l2_writebacks;
     }
     done = std::max(done, line_done);
     cur += in_line;

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "src/base/stats.h"
 #include "src/base/types.h"
 #include "src/mem/bus.h"
 #include "src/mem/cache.h"
@@ -45,6 +44,11 @@ struct MemSysConfig {
 
 class MemorySystem {
  public:
+  /// Dirty L2 victims written back to DRAM.
+  struct Stats {
+    std::uint64_t l2_writebacks = 0;
+  };
+
   /// `tracer` (may be null) is shared with both buses and the DRAM model;
   /// the memory system itself emits the L2 hit/miss events. `injector` (may
   /// be null) reaches the DRAM read path for fault injection. `metrics`
@@ -91,7 +95,13 @@ class MemorySystem {
   /// Full reset: timing + cache tags. Data in PhysMem persists.
   void reset_all();
 
-  const StatSet& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
+  /// Zeroes this system's and the L2's counts (the start of a run); the bus
+  /// and DRAM tables reset with their timing state in reset_time().
+  void reset_stats() {
+    stats_ = Stats{};
+    l2_->reset_stats();
+  }
 
  private:
   MemSysConfig cfg_;
@@ -103,7 +113,7 @@ class MemorySystem {
   std::unique_ptr<Cache> l2_;
   Bus membus_;
   Dram dram_;
-  StatSet stats_;
+  Stats stats_;
 };
 
 }  // namespace gemmini

@@ -178,7 +178,7 @@ struct MetricsConfig {
   Cycle sample_interval_cycles = 0;
   /// When non-empty, Session::run writes the OpenMetrics text document
   /// here after each run.
-  std::string export_path;
+  std::string export_path{};
 
   static MetricsConfig enabled_default() {
     MetricsConfig cfg;

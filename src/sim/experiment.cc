@@ -17,11 +17,9 @@ Sweep& Sweep::add(SweepPoint point) {
 }
 
 Sweep& Sweep::add(std::string name, SocConfig config, Model model) {
-  return add(SweepPoint{std::move(name), std::move(config), std::move(model),
-                        /*multicore=*/false, /*functional=*/false,
-                        /*seed=*/1, /*placement=*/nullptr,
-                        /*tiling=*/nullptr, /*trace=*/{},
-                        /*campaign_runs=*/0});
+  return add(SweepPoint{.name = std::move(name),
+                        .config = std::move(config),
+                        .model = std::move(model)});
 }
 
 namespace {
@@ -681,13 +679,19 @@ Sweep Experiment::sweep() const {
           }
           for (const WorkloadItem& w : workloads) {
             const Model& m = w.model;
-            SweepPoint p{serve_label.empty() ? m.name()
-                                             : serve_label + "/" + m.name(),
-                         v.cfg, m, multicore_, functional_, seed_, pp, tp,
-                         /*trace=*/{}, /*campaign_runs=*/0};
-            p.llm = w.llm;
-            p.metrics = metrics_cfg_;
-            p.energy = energy_cfg_;
+            SweepPoint p{.name = serve_label.empty()
+                                     ? m.name()
+                                     : serve_label + "/" + m.name(),
+                         .config = v.cfg,
+                         .model = m,
+                         .multicore = multicore_,
+                         .functional = functional_,
+                         .seed = seed_,
+                         .placement = pp,
+                         .tiling = tp,
+                         .llm = w.llm,
+                         .metrics = metrics_cfg_,
+                         .energy = energy_cfg_};
             if (!trace_point_name_.empty() && p.name == trace_point_name_) {
               p.trace = trace_cfg_;
             }

@@ -252,8 +252,8 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
 
   const auto& l2 = soc_->memory().l2();
   rep.substrate.l2_miss_rate = l2.miss_rate();
-  rep.substrate.l2_hits = l2.hits();
-  rep.substrate.l2_misses = l2.misses();
+  rep.substrate.l2_hits = l2.stats().hits;
+  rep.substrate.l2_misses = l2.stats().misses;
 
   // Merge the per-requestor accounting of both buses and DRAM into one
   // table, sorted by requestor id for deterministic reports.

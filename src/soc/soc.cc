@@ -156,6 +156,11 @@ std::vector<CoreResult> Soc::run_parallel(
     execs[i].next_os_switch = cfg_.os.period_cycles;
     accels_[i]->reset_report();
   }
+  // The L2 and TLB counts restart with the registry (their contents stay
+  // warm), so they cover this run only, like the bus and DRAM tables that
+  // reset_time() clears.
+  mem_.reset_stats();
+  for (auto& a : accels_) a->translation().reset_stats();
   if (metrics_) metrics_->begin_run();
 
   // Event-merge loop: always advance the core with the earliest next event.

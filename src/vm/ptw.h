@@ -8,7 +8,6 @@
 // *shared memory system*, which means hot PTEs naturally get cached in L2 —
 // the same effect the RTL exhibits.
 
-#include "src/base/stats.h"
 #include "src/base/types.h"
 #include "src/mem/memsys.h"
 #include "src/vm/page_table.h"
@@ -24,6 +23,12 @@ struct PtwConfig {
 
 class PageTableWalker {
  public:
+  struct Stats {
+    std::uint64_t walks = 0;
+    std::uint64_t queue_cycles = 0;  ///< cycles walks waited for the port
+    std::uint64_t pte_loads = 0;     ///< PTE loads sent to the memory system
+  };
+
   PageTableWalker(const PtwConfig& cfg, MemorySystem& mem,
                   RequestorId requestor)
       : cfg_(cfg), mem_(mem), requestor_(requestor) {}
@@ -37,8 +42,12 @@ class PageTableWalker {
   /// A single walker port: concurrent walks queue behind each other.
   WalkResult walk(const AddressSpace& as, VAddr va, Cycle t);
 
-  const StatSet& stats() const { return stats_; }
-  void reset_time() { busy_until_ = 0; }
+  const Stats& stats() const { return stats_; }
+  /// Frees the walker port and zeroes the counts (one run's window).
+  void reset_time() {
+    busy_until_ = 0;
+    stats_ = Stats{};
+  }
 
  private:
   bool pte_cache_lookup(PAddr pte_addr);
@@ -48,7 +57,7 @@ class PageTableWalker {
   MemorySystem& mem_;
   RequestorId requestor_;
   Cycle busy_until_ = 0;
-  StatSet stats_;
+  Stats stats_;
 
   struct PteCacheEntry {
     bool valid = false;

@@ -4,37 +4,21 @@
 
 namespace gemmini {
 
-Tlb::Tlb(const TlbConfig& cfg, std::string name, Cycle profile_window)
-    : cfg_(cfg),
-      name_(std::move(name)),
-      read_requests_(stats_.counter("read_requests")),
-      write_requests_(stats_.counter("write_requests")),
-      read_same_page_(stats_.counter("read_same_page")),
-      write_same_page_(stats_.counter("write_same_page")),
-      hits_(stats_.counter("hits")),
-      misses_(stats_.counter("misses")),
-      fastpath_hits_(stats_.counter("fastpath_hits")),
-      fastpath_misses_(stats_.counter("fastpath_misses")),
-      series_(profile_window) {
+Tlb::Tlb(const TlbConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
   entries_.assign(cfg_.entries, Entry{});
 }
 
-std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write,
-                                         Cycle t) {
+std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write) {
   // Consecutive same-page profiling (pre-lookup, per request stream).
   if (is_write) {
-    write_requests_.add();
-    if (have_last_write_ && last_write_vpn_ == vpn) {
-      write_same_page_.add();
-    }
+    ++stats_.write_requests;
+    if (have_last_write_ && last_write_vpn_ == vpn) ++stats_.write_same_page;
     have_last_write_ = true;
     last_write_vpn_ = vpn;
   } else {
-    read_requests_.add();
-    if (have_last_read_ && last_read_vpn_ == vpn) {
-      read_same_page_.add();
-    }
+    ++stats_.read_requests;
+    if (have_last_read_ && last_read_vpn_ == vpn) ++stats_.read_same_page;
     have_last_read_ = true;
     last_read_vpn_ = vpn;
   }
@@ -43,21 +27,19 @@ std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write,
   // the set scan. Same-page streaks resolve against the remembered entry
   // directly; the entry is re-validated (flush / eviction / refill may have
   // replaced it), and all architectural bookkeeping — hit counters, LRU
-  // refresh, miss-rate series — is identical to the scanning path, so timing
-  // and statistics are unchanged.
+  // refresh — is identical to the scanning path, so timing and statistics
+  // are unchanged.
   LastHit& last = is_write ? last_write_hit_ : last_read_hit_;
   if (last.valid && last.vpn == vpn) {
     Entry& e = entries_[last.idx];
     if (e.valid && e.vpn == vpn) {
       e.lru = ++lru_clock_;
-      hits_.add();
-      fastpath_hits_.add();
-      series_.record(t, /*event=*/false);
+      ++stats_.hits;
+      ++stats_.fastpath_hits;
       return e.ppn;
     }
     last.valid = false;  // stale: entry was evicted or remapped
   }
-  fastpath_misses_.add();
 
   const unsigned set = set_of(vpn);
   Entry* base = &entries_[static_cast<std::size_t>(set) * set_ways()];
@@ -66,16 +48,14 @@ std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write,
     Entry& e = base[w];
     if (e.valid && e.vpn == vpn) {
       e.lru = lru_clock_;
-      hits_.add();
+      ++stats_.hits;
       last.valid = true;
       last.vpn = vpn;
       last.idx = static_cast<std::size_t>(set) * set_ways() + w;
-      series_.record(t, /*event=*/false);
       return e.ppn;
     }
   }
-  misses_.add();
-  series_.record(t, /*event=*/true);
+  ++stats_.misses;
   return std::nullopt;
 }
 
@@ -99,7 +79,6 @@ void Tlb::fill(std::uint64_t vpn, std::uint64_t ppn) {
         victim = &base[w];
       }
     }
-    stats_.counter("evictions").add();
   }
   victim->valid = true;
   victim->vpn = vpn;
@@ -114,14 +93,13 @@ void Tlb::flush() {
   // gone, and a post-flush streak must re-walk like the RTL would.
   last_read_hit_ = LastHit{};
   last_write_hit_ = LastHit{};
-  stats_.counter("flushes").add();
 }
 
 double Tlb::consecutive_same_page_rate(bool writes) const {
   const std::uint64_t total =
-      stats_.value(writes ? "write_requests" : "read_requests");
+      writes ? stats_.write_requests : stats_.read_requests;
   const std::uint64_t same =
-      stats_.value(writes ? "write_same_page" : "read_same_page");
+      writes ? stats_.write_same_page : stats_.read_same_page;
   return total <= 1 ? 0.0
                     : static_cast<double>(same) /
                           static_cast<double>(total - 1);

@@ -2,17 +2,16 @@
 // TLB model: fully-associative with true LRU (private accelerator TLBs are
 // small, 4..64 entries) or set-associative for the larger shared L2 TLB.
 //
-// Tracks hit/miss counters, a windowed miss-rate time series (paper Fig. 4),
-// and same-page-as-last-request statistics split by read/write (the paper
-// reports 87% of consecutive reads and 83% of consecutive writes touch the
-// same page, motivating the filter registers of Fig. 8b).
+// Tracks hit/miss counts and same-page-as-last-request statistics split by
+// read/write (the paper reports 87% of consecutive reads and 83% of
+// consecutive writes touch the same page, motivating the filter registers of
+// Fig. 8b). The windowed miss rate of Fig. 4 comes from the metrics
+// sampler's "core<N>.tlb.*" timelines, not from the TLB itself.
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
 
@@ -34,18 +33,23 @@ struct TlbConfig {
 
 class Tlb {
  public:
-  explicit Tlb(const TlbConfig& cfg, std::string name = "tlb",
-               Cycle profile_window = 100000);
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    /// Hits satisfied by the one-entry last-page filter in front of the set
+    /// scan (a subset of `hits`: the filter is a host-side fast path with
+    /// identical architectural behavior, not a modeled structure).
+    std::uint64_t fastpath_hits = 0;
+    std::uint64_t read_requests = 0;
+    std::uint64_t write_requests = 0;
+    std::uint64_t read_same_page = 0;   ///< reads to the previous read's page
+    std::uint64_t write_same_page = 0;  ///< writes to the previous write's page
+  };
 
-  // The cached Counter& members below alias this object's own stats_ map; a
-  // copy or move would silently keep pointing at the source's counters.
-  Tlb(const Tlb&) = delete;
-  Tlb& operator=(const Tlb&) = delete;
+  explicit Tlb(const TlbConfig& cfg);
 
-  /// Looks up `vpn` at time `t`. Returns the mapped PPN on hit. Records the
-  /// access in the profiling series either way.
-  std::optional<std::uint64_t> lookup(std::uint64_t vpn, bool is_write,
-                                      Cycle t);
+  /// Looks up `vpn`. Returns the mapped PPN on hit.
+  std::optional<std::uint64_t> lookup(std::uint64_t vpn, bool is_write);
 
   /// Installs vpn -> ppn, evicting LRU within the set if full.
   void fill(std::uint64_t vpn, std::uint64_t ppn);
@@ -54,18 +58,13 @@ class Tlb {
   void flush();
 
   const TlbConfig& config() const { return cfg_; }
-  const StatSet& stats() const { return stats_; }
-  const TimeSeries& miss_series() const { return series_; }
+  const Stats& stats() const { return stats_; }
+  /// Zeroes the counts (the start of a run) without touching entries.
+  void reset_stats() { stats_ = Stats{}; }
 
-  std::uint64_t hits() const { return stats_.value("hits"); }
-  std::uint64_t misses() const { return stats_.value("misses"); }
-  /// Hits satisfied by the one-entry last-page filter in front of the set
-  /// scan (a subset of hits(): the filter is a host-side fast path with
-  /// identical architectural behavior, not a modeled structure).
-  std::uint64_t fastpath_hits() const { return stats_.value("fastpath_hits"); }
   double hit_rate() const {
-    const double total = static_cast<double>(hits() + misses());
-    return total == 0 ? 0.0 : static_cast<double>(hits()) / total;
+    const double total = static_cast<double>(stats_.hits + stats_.misses);
+    return total == 0 ? 0.0 : static_cast<double>(stats_.hits) / total;
   }
 
   /// Fraction of consecutive read (write) requests to the same page.
@@ -88,23 +87,9 @@ class Tlb {
   }
 
   TlbConfig cfg_;
-  std::string name_;
   std::vector<Entry> entries_;
   std::uint64_t lru_clock_ = 0;
-  StatSet stats_;
-  // Hot counters resolved once at construction: lookup() runs per DMA
-  // request, and the string-keyed map walk in StatSet::counter() would cost
-  // more than the set scan the fast path saves. (std::map nodes are
-  // reference-stable, so these stay valid for the Tlb's lifetime.)
-  Counter& read_requests_;
-  Counter& write_requests_;
-  Counter& read_same_page_;
-  Counter& write_same_page_;
-  Counter& hits_;
-  Counter& misses_;
-  Counter& fastpath_hits_;
-  Counter& fastpath_misses_;
-  TimeSeries series_;
+  Stats stats_;
 
   bool have_last_read_ = false, have_last_write_ = false;
   std::uint64_t last_read_vpn_ = 0, last_write_vpn_ = 0;

@@ -11,7 +11,6 @@
 
 #include <optional>
 
-#include "src/base/stats.h"
 #include "src/base/types.h"
 #include "src/fault/fault.h"
 #include "src/metrics/metrics.h"
@@ -29,7 +28,6 @@ struct TranslationConfig {
   bool l2_tlb_present = true;
   bool filter_registers = false;
   PtwConfig ptw{};
-  Cycle profile_window = 100000;  ///< miss-rate series bucketing (Fig. 4)
 };
 
 /// Where a translation was satisfied — for statistics and tests.
@@ -48,6 +46,11 @@ struct Translation {
 
 class TranslationSystem {
  public:
+  struct Stats {
+    std::uint64_t filter_hits = 0;  ///< zero-latency filter-register hits
+    std::uint64_t flushes = 0;      ///< context switches (flush() calls)
+  };
+
   /// `ptw` may be shared with other translation systems (multi-core SoCs
   /// share the single walker, and CPUs contend for it). `tracer` (may be
   /// null) receives TLB-miss and page-walk spans. `metrics` (may be null)
@@ -67,8 +70,11 @@ class TranslationSystem {
 
   const Tlb& private_tlb() const { return private_; }
   const Tlb* shared_tlb() const { return l2_ ? &*l2_ : nullptr; }
-  const StatSet& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
   const TranslationConfig& config() const { return cfg_; }
+  /// Zeroes this system's and its TLBs' counts (the start of a run) without
+  /// touching TLB or filter-register contents.
+  void reset_stats();
 
   /// Hit rate counting filter-register hits as private-TLB hits (the paper
   /// reports "private TLB hit rate (including hits on the filter registers)
@@ -85,7 +91,7 @@ class TranslationSystem {
   metrics::Counter* m_hits_ = nullptr;
   metrics::Counter* m_misses_ = nullptr;
   metrics::Counter* m_filter_hits_ = nullptr;
-  StatSet stats_;
+  Stats stats_;
 
   struct FilterReg {
     bool valid = false;

@@ -434,7 +434,9 @@ TEST(EnergyRegression, DramRowHitRateZeroAccessesSerializesAsZero) {
 TEST(EnergyRegression, GoodputZeroRequestRunReportsZero) {
   // A serving window that admits no requests (rate so low the horizon
   // closes first) has makespan 0; goodput must report 0, not NaN/inf.
-  sim::SweepPoint p{"empty-serve", SocConfig{}, zoo::squeezenet_v11(48)};
+  sim::SweepPoint p{.name = "empty-serve",
+                    .config = SocConfig{},
+                    .model = zoo::squeezenet_v11(48)};
   p.serve.enabled = true;
   p.serve.classes.push_back(serve::RequestClass{"sq", p.model, 1.0, 0});
   p.serve.arrivals.kind = serve::ArrivalKind::kFixed;

@@ -436,16 +436,10 @@ TEST(FaultCampaign, ByteIdenticalAcrossRepeatsAndThreadCounts) {
 }
 
 TEST(FaultCampaign, RequiresFunctionalSingleCore) {
-  sim::SweepPoint p{"bad",
-                    SocConfig{},
-                    tiny_model(),
-                    /*multicore=*/false,
-                    /*functional=*/false,
-                    /*seed=*/1,
-                    /*placement=*/nullptr,
-                    /*tiling=*/nullptr,
-                    /*trace=*/{},
-                    /*campaign_runs=*/2};
+  sim::SweepPoint p{.name = "bad",
+                    .config = SocConfig{},
+                    .model = tiny_model(),
+                    .campaign_runs = 2};
   p.config.faults = ecc_single_bit();
   EXPECT_THROW(sim::Sweep::run_point(p), ConfigError);
 

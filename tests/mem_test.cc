@@ -136,8 +136,8 @@ TEST(Dram, RowHitFasterThanMiss) {
   const Cycle first = d.access(0, 64, 0, {0});
   const Cycle second = d.access(64, 64, first, {0}) - first;
   EXPECT_GT(first, second);  // second access hits the open row
-  EXPECT_EQ(d.stats().value("row_hits"), 1u);
-  EXPECT_EQ(d.stats().value("row_misses"), 1u);
+  EXPECT_EQ(d.channel_stats()[0].row_hits, 1u);
+  EXPECT_EQ(d.channel_stats()[0].row_misses, 1u);
 }
 
 TEST(Dram, BankHashSpreadsLargeStrides) {
@@ -265,17 +265,18 @@ TEST(Dram, RefreshStallsIssuesAndClosesRows) {
   cfg.refresh_interval = 1000;
   cfg.refresh_latency = 200;
   Dram d(cfg);
+  const Dram::ChannelStats& ch = d.channel_stats()[0];
   // t=0 lands inside the first refresh window: the issue stalls to 200.
   const Cycle first = d.access(0, 64, 0, {0});
   EXPECT_GE(first, 200 + cfg.row_miss_latency);
-  EXPECT_GT(d.stats().value("refresh_stall_cycles"), 0u);
+  EXPECT_GT(ch.refresh_stall_cycles, 0u);
   // Same row, same refresh period: still open, row hit.
   d.access(64, 64, first, {0});
-  EXPECT_EQ(d.stats().value("row_hits"), 1u);
+  EXPECT_EQ(ch.row_hits, 1u);
   // Next period: the all-bank refresh closed the row, so the same row
   // misses again.
   d.access(128, 64, 1500, {0});
-  EXPECT_EQ(d.stats().value("row_misses"), 2u);
+  EXPECT_EQ(ch.row_misses, 2u);
 }
 
 TEST(Dram, ChannelInterleaveSpreadsALineStream) {
@@ -346,19 +347,20 @@ TEST(Dram, WriteQueueForceDrainsAtDepth) {
   cfg.write_queue_depth = 4;
   cfg.write_drain_floor = 1;
   Dram d(cfg);
+  const Dram::ChannelStats& ch = d.channel_stats()[0];
   for (int i = 0; i < 3; ++i) {
     d.write(static_cast<PAddr>(i) * 4096, 64, static_cast<Cycle>(i), {0});
   }
   EXPECT_EQ(d.pending_writes(), 3u);
-  EXPECT_EQ(d.stats().value("accesses"), 0u);  // nothing issued yet
-  d.write(3 * 4096, 64, 3, {0});               // hits the depth: drain to 1
+  EXPECT_EQ(ch.accesses, 0u);     // nothing issued yet
+  d.write(3 * 4096, 64, 3, {0});  // hits the depth: drain to 1
   EXPECT_EQ(d.pending_writes(), 1u);
-  EXPECT_EQ(d.stats().value("write_drains"), 1u);
-  EXPECT_EQ(d.stats().value("writes_buffered"), 4u);
-  EXPECT_EQ(d.stats().value("accesses"), 3u);
+  EXPECT_EQ(ch.write_drains, 1u);
+  EXPECT_EQ(ch.writes_buffered, 4u);
+  EXPECT_EQ(ch.accesses, 3u);
   d.drain_writes();
   EXPECT_EQ(d.pending_writes(), 0u);
-  EXPECT_EQ(d.stats().value("accesses"), 4u);
+  EXPECT_EQ(ch.accesses, 4u);
 }
 
 TEST(Dram, ResetTimeClearsQueuesAndChannelStats) {
@@ -386,13 +388,13 @@ TEST(MemSys, HitLatencyLowerThanMiss) {
   m.reset_time();
   const Cycle hit = m.access(0x1000, 64, false, 0, {0});
   EXPECT_LT(hit, miss);
-  EXPECT_EQ(m.l2().hits(), 1u);
+  EXPECT_EQ(m.l2().stats().hits, 1u);
 }
 
 TEST(MemSys, LargeAccessSplitsIntoLines) {
   MemorySystem m(MemSysConfig{});
   m.access(0, 1024, false, 0, {0});
-  EXPECT_EQ(m.l2().misses(), 1024u / m.config().l2.line_bytes);
+  EXPECT_EQ(m.l2().stats().misses, 1024u / m.config().l2.line_bytes);
 }
 
 TEST(MemSys, WritebackTrafficReachesDram) {
@@ -404,7 +406,7 @@ TEST(MemSys, WritebackTrafficReachesDram) {
     m.access(a, 64, true, a, {0});
   }
   // Re-stream: every line dirty-evicted must have produced a writeback.
-  EXPECT_GT(m.stats().value("l2_writebacks"), 0u);
+  EXPECT_GT(m.stats().l2_writebacks, 0u);
 }
 
 TEST(MemSys, SharedRequestorsContend) {
@@ -418,7 +420,7 @@ TEST(MemSys, SharedRequestorsContend) {
 TEST(MemSys, UncachedBypassesL2) {
   MemorySystem m(MemSysConfig{});
   m.access_uncached(0x2000, 8, false, 0, {0});
-  EXPECT_EQ(m.l2().hits() + m.l2().misses(), 0u);
+  EXPECT_EQ(m.l2().stats().hits + m.l2().stats().misses, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -280,6 +281,37 @@ TEST(MetricsSession, TimelinesReconcileWithEndOfRunCounters) {
   EXPECT_EQ(rep.metrics.counters.at("l2.hits") +
                 rep.metrics.counters.at("l2.misses"),
             rep.substrate.l2_hits + rep.substrate.l2_misses);
+}
+
+TEST(MetricsSession, TlbCountersMatchComponentStats) {
+  // The registry's per-core TLB counters and the translation system's own
+  // Stats count the same events, and the sampler's windowed deltas (the
+  // Fig. 4 miss-rate path) sum back to them.
+  SocConfig cfg = SocConfig::base_1mb_l2();
+  cfg.accel.translation.private_tlb.entries = 8;
+  cfg.accel.translation.l2_tlb_present = false;
+  cfg.accel.translation.filter_registers = true;
+  sim::Session s =
+      sim::Session::builder(cfg)
+          .metrics({.enabled = true, .sample_interval_cycles = 250000})
+          .build();
+  const sim::Report rep = s.run(zoo::resnet50(32));
+  const TranslationSystem& ts = s.soc().accelerator(0).translation();
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"core0.tlb.hits", ts.private_tlb().stats().hits},
+      {"core0.tlb.misses", ts.private_tlb().stats().misses},
+      {"core0.tlb.filter_hits", ts.stats().filter_hits},
+  };
+  EXPECT_GT(rep.metrics.windows, 1u);
+  for (const auto& [name, value] : expected) {
+    EXPECT_GT(value, 0u) << name;
+    EXPECT_EQ(rep.metrics.counters.at(name), value) << name;
+    std::uint64_t windowed = 0;
+    for (const std::uint64_t d : rep.metrics.counter_timelines.at(name)) {
+      windowed += d;
+    }
+    EXPECT_EQ(windowed, value) << name;
+  }
 }
 
 TEST(MetricsSession, OpenMetricsExportIsDeterministic) {

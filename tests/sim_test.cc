@@ -108,6 +108,31 @@ TEST(SimSession, ReportIsConsistent) {
   EXPECT_GT(tagged, 0u);
 }
 
+TEST(SimSession, RerunReportCountsCoverOnlyThatRun) {
+  // Every Report section describes one run: the L2 and TLB counts restart
+  // with the registry, so a second run of the same session reports the
+  // registry's per-run figures, not a running total since the SoC was
+  // built.
+  const Model m = zoo::squeezenet_v11(48);
+  sim::Session s =
+      sim::Session::builder(SocConfig::base_1mb_l2())
+          .metrics({.enabled = true, .sample_interval_cycles = 0})
+          .build();
+  const sim::Report first = s.run(m);
+  const sim::Report second = s.run(m);
+  for (const sim::Report* r : {&first, &second}) {
+    EXPECT_GT(r->substrate.l2_hits, 0u);
+    EXPECT_EQ(r->substrate.l2_hits, r->metrics.counters.at("l2.hits"));
+    EXPECT_EQ(r->substrate.l2_misses, r->metrics.counters.at("l2.misses"));
+    const double tlb_hits =
+        static_cast<double>(r->metrics.counters.at("core0.tlb.hits"));
+    const double tlb_misses =
+        static_cast<double>(r->metrics.counters.at("core0.tlb.misses"));
+    EXPECT_DOUBLE_EQ(r->per_core[0].private_tlb_hit_rate,
+                     tlb_hits / (tlb_hits + tlb_misses));
+  }
+}
+
 TEST(SimSession, AllPaperModelsRunScaled) {
   // The whole zoo, scaled, through the push-button facade — every layer
   // kind the lowering supports (conv, depthwise, dense, pools, resadd,
