@@ -32,7 +32,7 @@
 //                                         # metrics-on overhead, exact
 //                                         # sampler reconciliation), default
 //                                         # out: BENCH_PR9.json
-//   $ ./bench_perf --energy [out.json]    # energy gates (meter-on golden-
+//   $ ./bench_perf --energy [out.json]    # energy gates (energy-on golden-
 //                                         # cycle identity, exact power-
 //                                         # timeline reconciliation, FR-FCFS
 //                                         # DRAM-energy win, search-vs-
@@ -1129,8 +1129,8 @@ int run_energy(const std::string& out_path) {
 
   const energy::EnergyConfig priced = energy::EnergyConfig::enabled_default();
 
-  // Gate 1: the golden workloads are cycle-identical with the meter
-  // attached — energy metering is observational only, like trace/metrics.
+  // Gate 1: the golden workloads are cycle-identical with energy on —
+  // energy is derived from counts after the run, so it cannot move timing.
   auto matmul_cycles = [&](bool with_energy) {
     Rng rng(7);
     TensorI8 a({320, 320}), b({320, 320});
@@ -1211,7 +1211,7 @@ int run_energy(const std::string& out_path) {
   std::printf("resnet50_slice_32    off %llu  on %llu\n",
               static_cast<unsigned long long>(resnet_off),
               static_cast<unsigned long long>(resnet_on));
-  std::printf("golden cycles with meter attached: %s\n\n",
+  std::printf("golden cycles with energy on: %s\n\n",
               golden_ok ? "identical" : "DIVERGED");
 
   // Gate 2: the power timeline on the metered resnet run integrates

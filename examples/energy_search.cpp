@@ -1,6 +1,6 @@
-// Command-level energy metering and power-constrained design-space search.
+// Command-level energy accounting and power-constrained design-space search.
 //
-// Part 1 meters a single inference: attach `energy::EnergyConfig` to a
+// Part 1 prices a single inference: attach `energy::EnergyConfig` to a
 // Session and the Report grows an energy section — per-DRAM-command-kind
 // and per-channel femtojoule splits, exec/DMA/SRAM activity energy, static
 // power, average watts, EDP, and (with the metrics sampler armed) a
@@ -20,7 +20,7 @@
 using namespace gemmini;
 
 int main() {
-  // ---- Part 1: meter one inference -----------------------------------------
+  // ---- Part 1: price one inference -----------------------------------------
   SocConfig cfg = SocConfig::base_1mb_l2();
   cfg.accel.has_im2col = true;
 

@@ -31,11 +31,12 @@
 #           wall overhead <= 5%, exact sampler/counter reconciliation,
 #           monotone decode KV-footprint timeline), default out
 #           BENCH_PR9.json
-#   energy  command-level energy gates (meter-on golden-cycle identity,
+#   energy  command-level energy gates (energy-on golden-cycle identity,
 #           exact power-timeline reconciliation, FR-FCFS never spends more
 #           DRAM energy than FCFS, successive-halving search matches the
-#           exhaustive optimum with and without a power budget), default
-#           out BENCH_PR10.json
+#           exhaustive optimum with and without a power budget, resnet and
+#           scheduler-table femtojoules equal to the committed
+#           BENCH_PR10.json values), default out BENCH_PR10.json
 #
 # The pre-dispatcher spellings still work as aliases:
 #   scripts/run_bench.sh --sweep [out.json]   ==  --suite sweep [out.json]
@@ -358,10 +359,12 @@ EOF
   ;;
 
 energy)
-  # bench_perf --energy runs the energy gates (golden identity with the
-  # meter attached, exact window->total power-timeline reconciliation,
-  # FR-FCFS DRAM-energy win, search-vs-exhaustive optimum) and already
-  # exits nonzero on a failure; this re-validates the emitted artifact.
+  # bench_perf --energy runs the energy gates (golden identity with energy
+  # on, exact window->total power-timeline reconciliation, FR-FCFS
+  # DRAM-energy win, search-vs-exhaustive optimum) and already exits
+  # nonzero on a failure; this re-validates the emitted artifact and pins
+  # its femtojoule figures to the values committed in BENCH_PR10.json
+  # (the default output path, so the reference is kept here).
   "./$BUILD_DIR/bench_perf" --energy "$SUITE_OUT"
   python3 - "$SUITE_OUT" <<'EOF'
 import json, sys
@@ -382,14 +385,31 @@ for name, want in (("matmul", 309917), ("conv", 1087553),
         print(f"FAIL: {name}: off {off} / on {on}, golden {want}")
         failed = True
     else:
-        print(f"energy ok:  {name}: {want} cycles with the meter off and on")
+        print(f"energy ok:  {name}: {want} cycles with energy off and on")
 for name, row in energy.get("scheduler_dram_fj", {}).items():
     fc, fr = row["fcfs"], row["frfcfs"]
     if fr > fc:
         print(f"ENERGY REGRESSION: {name}: frfcfs {fr} fJ > fcfs {fc} fJ")
         failed = True
-if energy.get("resnet_total_fj", 0) <= 0 or energy.get("timeline_windows", 0) <= 0:
-    print("FAIL: metered run produced no energy or no timeline")
+# Exact femtojoule pins, as committed in BENCH_PR10.json.
+want_total = 818935874640
+want_sched = {
+    "resnet50": {"fcfs": 284552786000, "frfcfs": 283288786000},
+    "alexnet": {"fcfs": 437073666000, "frfcfs": 437020666000},
+    "squeezenet_v1.1": {"fcfs": 20322094000, "frfcfs": 19859094000},
+    "mobilenetv2": {"fcfs": 57707880000, "frfcfs": 56497880000},
+    "bert-base": {"fcfs": 104504562000, "frfcfs": 103804562000},
+}
+if energy.get("resnet_total_fj") != want_total:
+    print(f"FAIL: resnet_total_fj {energy.get('resnet_total_fj')} != "
+          f"{want_total}")
+    failed = True
+if energy.get("scheduler_dram_fj") != want_sched:
+    print(f"FAIL: scheduler_dram_fj {energy.get('scheduler_dram_fj')} != "
+          f"{want_sched}")
+    failed = True
+if energy.get("timeline_windows", 0) <= 0:
+    print("FAIL: the energy run produced no timeline")
     failed = True
 if failed:
     sys.exit(1)

@@ -4,37 +4,37 @@
 
 namespace gemmini {
 
+namespace {
+
+// This core's registry counter "core<N>.<what>"; null when metrics are off.
+metrics::Counter* core_counter(metrics::Metrics* metrics, RequestorId core,
+                               const char* what) {
+  if (metrics == nullptr) return nullptr;
+  return &metrics->registry().counter("core" + std::to_string(core.value) +
+                                      "." + what);
+}
+
+}  // namespace
+
 Accelerator::Accelerator(const GemminiConfig& cfg, MemorySystem& mem,
                          PageTableWalker& ptw, RequestorId requestor,
                          trace::Tracer* tracer, fault::Injector* injector,
-                         metrics::Metrics* metrics,
-                         energy::EnergyMeter* energy)
+                         metrics::Metrics* metrics)
     : cfg_(cfg),
       mem_(mem),
       tracer_(tracer),
-      sp_(cfg_, injector,
-          energy != nullptr ? energy->sp_hook(requestor.value)
-                            : energy::SramEnergy{}),
-      acc_(cfg_, injector,
-           energy != nullptr ? energy->acc_hook(requestor.value)
-                             : energy::SramEnergy{}),
+      m_macs_(core_counter(metrics, requestor, "exec.macs")),
+      m_tiles_(core_counter(metrics, requestor, "exec.tiles")),
+      sp_(cfg_, injector, core_counter(metrics, requestor, "sp.rows")),
+      acc_(cfg_, injector, core_counter(metrics, requestor, "acc.rows")),
       translation_(cfg_.translation, ptw, tracer, injector, metrics,
                    requestor.value),
       dma_(cfg_, mem_, translation_, sp_, acc_, requestor, tracer, injector,
-           metrics, energy),
+           metrics),
       exec_(cfg_, sp_, acc_, injector),
       hazards_(cfg_.sp_rows(), cfg_.acc_rows()),
       rob_(cfg_.rob_entries, 0) {
   cfg_.validate();
-  if (metrics != nullptr) {
-    const std::string p = "core" + std::to_string(requestor.value);
-    m_macs_ = &metrics->registry().counter(p + ".exec.macs");
-    m_tiles_ = &metrics->registry().counter(p + ".exec.tiles");
-  }
-  if (energy != nullptr) {
-    e_exec_fj_ = &energy->core_counter(requestor.value, "exec");
-    mac_fj_ = energy->mac_fj();
-  }
 }
 
 void Accelerator::start(const Program* prog, const AddressSpace* as,
@@ -208,9 +208,6 @@ void Accelerator::exec_one(const Instruction& inst) {
       if (m_macs_ != nullptr) {
         m_macs_->add(report_.macs - macs_before);
         m_tiles_->add();
-      }
-      if (e_exec_fj_ != nullptr) {
-        e_exec_fj_->add((report_.macs - macs_before) * mac_fj_);
       }
       if (!inst.local.is_garbage()) {
         hazards_.record_read(false, inst.local.row(), inst.rows, end);

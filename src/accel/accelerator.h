@@ -53,15 +53,13 @@ class Accelerator {
   /// preloads, compute tiles) plus everything the owned DMA/translation
   /// subsystems emit. `metrics` (may be null) registers this core's
   /// counters ("core<N>.exec.*", and via the owned DMA/translation,
-  /// "core<N>.dma.*" / "core<N>.tlb.*") keyed by `requestor`. `energy` (may
-  /// be null) prices this core's exec MACs, DMA bytes, and scratchpad /
-  /// accumulator row accesses ("energy.core<N>.*").
+  /// "core<N>.dma.*" / "core<N>.tlb.*", and the SRAM row counts
+  /// "core<N>.sp.rows" / "core<N>.acc.rows") keyed by `requestor`.
   Accelerator(const GemminiConfig& cfg, MemorySystem& mem,
               PageTableWalker& ptw, RequestorId requestor,
               trace::Tracer* tracer = nullptr,
               fault::Injector* injector = nullptr,
-              metrics::Metrics* metrics = nullptr,
-              energy::EnergyMeter* energy = nullptr);
+              metrics::Metrics* metrics = nullptr);
 
   /// Functional mode moves real data through PhysMem; timing mode moves only
   /// time (used for full-DNN benchmark sweeps).
@@ -87,8 +85,11 @@ class Accelerator {
   // ---- Introspection --------------------------------------------------------
   const GemminiConfig& config() const { return cfg_; }
   Scratchpad& scratchpad() { return sp_; }
+  const Scratchpad& scratchpad() const { return sp_; }
   Accumulator& accumulator() { return acc_; }
+  const Accumulator& accumulator() const { return acc_; }
   DmaEngine& dma() { return dma_; }
+  const DmaEngine& dma() const { return dma_; }
   TranslationSystem& translation() { return translation_; }
   const TranslationSystem& translation() const { return translation_; }
   const AccelReport& report() const { return report_; }
@@ -106,10 +107,8 @@ class Accelerator {
   GemminiConfig cfg_;
   MemorySystem& mem_;
   trace::Tracer* tracer_;
-  metrics::Counter* m_macs_ = nullptr;
-  metrics::Counter* m_tiles_ = nullptr;
-  metrics::Counter* e_exec_fj_ = nullptr;
-  std::uint64_t mac_fj_ = 0;
+  metrics::Counter* m_macs_;
+  metrics::Counter* m_tiles_;
   bool functional_ = true;
 
   Scratchpad sp_;

@@ -13,18 +13,22 @@
 #include "src/base/fixed.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
-#include "src/energy/energy.h"
 #include "src/fault/fault.h"
+#include "src/metrics/metrics.h"
 
 namespace gemmini {
 
 class Accumulator {
  public:
-  /// `energy` (default-constructed = off) charges the per-row SRAM price
-  /// on every reserve.
+  struct Stats {
+    /// Rows touched by reservations.
+    std::uint64_t rows = 0;
+  };
+
+  /// `m_rows` (may be null = metrics off) mirrors Stats::rows.
   explicit Accumulator(const GemminiConfig& cfg,
                        fault::Injector* injector = nullptr,
-                       energy::SramEnergy energy = {})
+                       metrics::Counter* m_rows = nullptr)
       : dtype_(cfg.dtype),
         dim_(cfg.dim()),
         rows_(cfg.acc_rows()),
@@ -33,7 +37,7 @@ class Accumulator {
         f32_(dtype_ == DType::kFp32 ? rows_ * dim_ : 0, 0.0f),
         bank_busy_(cfg.acc_banks, 0),
         injector_(injector),
-        energy_(energy) {}
+        m_rows_(m_rows) {}
 
   std::uint64_t rows() const { return rows_; }
   unsigned dim() const { return dim_; }
@@ -67,9 +71,13 @@ class Accumulator {
     return static_cast<unsigned>(row / bank_rows_);
   }
   Cycle reserve(std::uint64_t row, std::uint64_t nrows, Cycle t, Cycle cycles);
+  /// Frees every bank and zeroes the counts (one run's window).
   void reset_time() {
     for (auto& b : bank_busy_) b = 0;
+    stats_ = Stats{};
   }
+
+  const Stats& stats() const { return stats_; }
 
   /// Fault layer: flip bit `bit` of the 4-byte-per-element region starting
   /// at `row` (both dtypes store 4-byte accumulator elements).
@@ -97,7 +105,8 @@ class Accumulator {
   std::vector<float> f32_;
   std::vector<Cycle> bank_busy_;
   fault::Injector* injector_;
-  energy::SramEnergy energy_;
+  metrics::Counter* m_rows_;
+  Stats stats_;
 };
 
 }  // namespace gemmini

@@ -76,11 +76,9 @@ DmaEngine::StreamResult DmaEngine::stream(const AddressSpace& as, VAddr va,
                         : trace::EventKind::kDmaBurstRead,
                   issue, r.done, bytes, requestor_.value);
   }
+  stats_.bytes += bytes;
   if (m_load_bytes_ != nullptr) {
     (write ? m_store_bytes_ : m_load_bytes_)->add(bytes);
-  }
-  if (e_dma_fj_ != nullptr) {
-    e_dma_fj_->add(bytes * dma_byte_fj_);
   }
   return r;
 }

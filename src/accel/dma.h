@@ -26,12 +26,16 @@ namespace gemmini {
 
 class DmaEngine {
  public:
+  struct Stats {
+    /// Bytes streamed, loads plus stores.
+    std::uint64_t bytes = 0;
+  };
+
   DmaEngine(const GemminiConfig& cfg, MemorySystem& mem,
             TranslationSystem& translation, Scratchpad& sp, Accumulator& acc,
             RequestorId requestor, trace::Tracer* tracer = nullptr,
             fault::Injector* injector = nullptr,
-            metrics::Metrics* metrics = nullptr,
-            energy::EnergyMeter* energy = nullptr)
+            metrics::Metrics* metrics = nullptr)
       : cfg_(cfg),
         mem_(mem),
         translation_(translation),
@@ -44,10 +48,6 @@ class DmaEngine {
       const std::string p = "core" + std::to_string(requestor.value);
       m_load_bytes_ = &metrics->registry().counter(p + ".dma.load_bytes");
       m_store_bytes_ = &metrics->registry().counter(p + ".dma.store_bytes");
-    }
-    if (energy != nullptr) {
-      e_dma_fj_ = &energy->core_counter(requestor.value, "dma");
-      dma_byte_fj_ = energy->dma_byte_fj();
     }
   }
 
@@ -81,11 +81,15 @@ class DmaEngine {
 
   TranslationSystem& translation() { return translation_; }
 
-  /// Drops in-flight state (absolute times) between independent runs.
+  /// Drops in-flight state (absolute times) and zeroes the counts between
+  /// independent runs.
   void reset_time() {
     read_inflight_.clear();
     write_inflight_.clear();
+    stats_ = Stats{};
   }
+
+  const Stats& stats() const { return stats_; }
 
  private:
   /// Streams `bytes` at virtual address `va` through the memory system with
@@ -107,8 +111,6 @@ class DmaEngine {
   fault::Injector* injector_;
   metrics::Counter* m_load_bytes_ = nullptr;
   metrics::Counter* m_store_bytes_ = nullptr;
-  metrics::Counter* e_dma_fj_ = nullptr;
-  std::uint64_t dma_byte_fj_ = 0;
   // Reads and writes have independent in-flight windows, mirroring the
   // RTL's separate load/store reservation stations: a backlog of store
   // completions must not stall load issue.
@@ -117,6 +119,7 @@ class DmaEngine {
   /// Functional-path staging buffer, reused across transfers so each
   /// mvin/mvout doesn't pay a zero-initialization of the whole payload.
   std::vector<std::uint8_t> stage_;
+  Stats stats_;
 };
 
 }  // namespace gemmini

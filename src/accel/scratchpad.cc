@@ -20,7 +20,8 @@ Cycle Scratchpad::reserve(std::uint64_t row, std::uint64_t nrows, Cycle t,
   for (unsigned b = first; b <= last; ++b) {
     bank_busy_[b] = done;
   }
-  energy_.charge_rows(nrows);
+  stats_.rows += nrows;
+  if (m_rows_ != nullptr) m_rows_->add(nrows);
   // Fault layer: an SRAM cell in the reserved region may flip (one draw per
   // reservation — an access-correlated model, not time-based decay).
   if (injector_ && nrows > 0) {

@@ -12,8 +12,8 @@
 #include "src/arch/config.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
-#include "src/energy/energy.h"
 #include "src/fault/fault.h"
+#include "src/metrics/metrics.h"
 
 namespace gemmini {
 
@@ -22,20 +22,21 @@ class Scratchpad {
   struct Stats {
     /// Cycles reservations waited for a busy bank.
     std::uint64_t bank_conflict_cycles = 0;
+    /// Rows touched by reservations.
+    std::uint64_t rows = 0;
   };
 
-  /// `energy` (default-constructed = off) charges the per-row SRAM price
-  /// on every reserve.
+  /// `m_rows` (may be null = metrics off) mirrors Stats::rows.
   explicit Scratchpad(const GemminiConfig& cfg,
                       fault::Injector* injector = nullptr,
-                      energy::SramEnergy energy = {})
+                      metrics::Counter* m_rows = nullptr)
       : row_bytes_(cfg.sp_row_bytes()),
         rows_(cfg.sp_rows()),
         bank_rows_(cfg.sp_bank_rows()),
         data_(rows_ * row_bytes_, 0),
         bank_busy_(cfg.sp_banks, 0),
         injector_(injector),
-        energy_(energy) {}
+        m_rows_(m_rows) {}
 
   std::uint64_t rows() const { return rows_; }
   std::uint64_t row_bytes() const { return row_bytes_; }
@@ -83,7 +84,7 @@ class Scratchpad {
   std::vector<std::uint8_t> data_;
   std::vector<Cycle> bank_busy_;
   fault::Injector* injector_;
-  energy::SramEnergy energy_;
+  metrics::Counter* m_rows_;
   Stats stats_;
 };
 

@@ -1,5 +1,5 @@
 #pragma once
-// energy:: — command-level energy metering for the simulated SoC.
+// energy:: — energy derived from the simulator's event counts.
 //
 // The estimate layer (src/estimate/power_model.h) prices *static* power from
 // the instantiation alone; this subsystem prices *behaviour*: every DRAM
@@ -8,48 +8,55 @@
 // price, so a row-thrashing schedule and a row-friendly one no longer cost
 // the same joules.
 //
-// The meter is "price the existing counters": it rides the metrics registry
-// (src/metrics/metrics.h) exactly like every other instrument. Components
-// take a possibly-null `energy::EnergyMeter*` as a trailing constructor
-// parameter, cache the Counter* handles and quantized prices they need at
-// construction, and guard each hot-path charge with one null check — a null
-// meter means "energy off" and costs nothing but that branch. Metering is
-// observational only: it never feeds back into timing, so golden cycle
-// counts are bit-identical on and off.
+// Energy is not metered, it is derived: energy = price vector · event
+// counts. The timed components only count events, in their plain `Stats`
+// (and, with metrics on, in registry counters); none of them knows energy
+// exists, so pricing can never perturb timing. One function, `price()`,
+// maps a `Counts` to an `EnergyReport`. The session applies it twice: to
+// the end-of-run Stats for the totals, and to each sampler window's counter
+// deltas for the power timeline.
 //
 // Accounting is *integer femtojoules*. Config prices are doubles in pJ for
-// ergonomics, but each is quantized exactly once (at meter construction) to
-// a uint64 femtojoule rate; all accumulation is then integer counter
-// arithmetic. That makes every derived number — totals, per-channel splits,
-// per-window power timelines — bit-exact from end-of-run counters, so
-// cross-point merging and the sampler reconciliation invariant
-// (sum(window deltas) == total) hold exactly, not approximately.
-//
-// Registry names (all values in fJ):
-//   energy.dram.{act,pre,rd,wr,ref,io}_fj   per-command-kind totals
-//   energy.dram.ch<N>.fj                    per-channel totals
-//   energy.core<N>.{exec,dma,sp,acc}_fj     per-core component totals
-// Invariant: sum over kinds == sum over channels (both sides count every
-// DRAM command exactly once).
+// ergonomics, but each is quantized exactly once (when the session is
+// built) to a uint64 femtojoule rate; pricing is then integer arithmetic.
+// The map is linear and exact, so the per-kind DRAM split sums to the
+// per-channel split, and the window energies sum to the run total, as
+// equalities.
 
 #include <cmath>
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/metrics/metrics.h"
+#include "src/base/types.h"
 
 namespace gemmini::energy {
 
+/// Largest price (pJ per event, or mW of static power per GHz) whose
+/// femtojoule quantization fits: to_fj rounds through a signed 64-bit
+/// integer, so 1000 x price must stay below 2^63.
+inline constexpr double kMaxPricePj = 9.2e15;
+
+/// True when `pj` is a usable price: non-negative, finite and small enough
+/// to quantize (the comparisons are false for NaN).
+inline bool quantizable(double pj) { return pj >= 0 && pj <= kMaxPricePj; }
+
+/// Quantizes a picojoule price to integer femtojoules (non-positive -> 0).
+/// `pj` must be quantizable() when positive; EnergyPrices::validate()
+/// guarantees it for configured prices.
+inline std::uint64_t to_fj(double pj) {
+  return pj <= 0 ? 0 : static_cast<std::uint64_t>(std::llround(pj * 1000.0));
+}
+
 /// Per-event energy prices, in picojoules. All default to zero, so a
-/// default-constructed price table meters nothing (and `EnergyConfig` with
+/// default-constructed price table prices nothing (and `EnergyConfig` with
 /// zero prices is exactly as if energy were never enabled — the
 /// zero-overhead-off contract extends to the report bytes).
 struct EnergyPrices {
-  // DRAM command-level prices, applied in the controller's issue path.
-  double dram_act_pj = 0.0;  ///< row activate (charged per row miss)
-  double dram_pre_pj = 0.0;  ///< row precharge (charged per row miss)
+  // DRAM command-level prices.
+  double dram_act_pj = 0.0;  ///< row activate (one per row miss)
+  double dram_pre_pj = 0.0;  ///< row precharge (one per row miss)
   double dram_rd_pj = 0.0;   ///< read column command
   double dram_wr_pj = 0.0;   ///< write column command
   double dram_ref_pj = 0.0;  ///< all-bank refresh, per channel per period
@@ -95,13 +102,27 @@ struct EnergyPrices {
     return p;
   }
 
+  /// Rejects any price (or static_mw) that is negative, non-finite, or too
+  /// large to quantize to a femtojoule rate.
   void validate() const {
-    GEMMINI_CONFIG_REQUIRE(
-        dram_act_pj >= 0 && dram_pre_pj >= 0 && dram_rd_pj >= 0 &&
-            dram_wr_pj >= 0 && dram_ref_pj >= 0 && dram_io_pj_per_byte >= 0 &&
-            exec_mac_pj >= 0 && dma_pj_per_byte >= 0 && sp_row_pj >= 0 &&
-            acc_row_pj >= 0 && static_mw >= 0,
-        "energy prices must be non-negative");
+    const std::pair<const char*, double> fields[] = {
+        {"dram_act_pj", dram_act_pj},
+        {"dram_pre_pj", dram_pre_pj},
+        {"dram_rd_pj", dram_rd_pj},
+        {"dram_wr_pj", dram_wr_pj},
+        {"dram_ref_pj", dram_ref_pj},
+        {"dram_io_pj_per_byte", dram_io_pj_per_byte},
+        {"exec_mac_pj", exec_mac_pj},
+        {"dma_pj_per_byte", dma_pj_per_byte},
+        {"sp_row_pj", sp_row_pj},
+        {"acc_row_pj", acc_row_pj},
+        {"static_mw", static_mw}};
+    for (const auto& [name, value] : fields) {
+      GEMMINI_CONFIG_REQUIRE(quantizable(value),
+                             "energy price " << name << " = " << value
+                                             << " must be finite and in [0, "
+                                             << kMaxPricePj << "]");
+    }
   }
 };
 
@@ -109,7 +130,7 @@ struct EnergyConfig {
   bool enabled = false;
   EnergyPrices prices{};
 
-  /// A meter is only built when this is true: enabled with an all-zero
+  /// Energy is only derived when this is true: enabled with an all-zero
   /// price table is exactly "off", which is what makes the zero-price
   /// report byte-identical to a session built without energy at all.
   bool active() const { return enabled && prices.any(); }
@@ -121,120 +142,167 @@ struct EnergyConfig {
     return cfg;
   }
 
-  void validate() const { prices.validate(); }
-};
-
-/// The per-row SRAM charge hook handed to Scratchpad/Accumulator: a cached
-/// counter handle plus the quantized per-row price. Null handle = energy
-/// off; `charge_rows` is then the one predictable branch.
-struct SramEnergy {
-  metrics::Counter* fj = nullptr;
-  std::uint64_t row_fj = 0;
-
-  void charge_rows(std::uint64_t nrows) const {
-    if (fj != nullptr) fj->add(nrows * row_fj);
+  void validate() const {
+    if (enabled) prices.validate();
   }
 };
 
-/// The meter threaded through the timed stack (Soc -> MemorySystem -> Dram,
-/// Accelerator -> DmaEngine / Scratchpad / Accumulator). Owns nothing: all
-/// accumulation lands in the shared metrics registry, so run-reset
-/// (Registry::reset) and sampler timelines come for free.
-class EnergyMeter {
- public:
-  /// Quantizes a picojoule price to integer femtojoules, once.
-  static std::uint64_t to_fj(double pj) {
-    return pj <= 0 ? 0 : static_cast<std::uint64_t>(std::llround(pj * 1000.0));
+/// The quantized price vector: integer femtojoules per event, built once
+/// per session.
+struct Rates {
+  std::uint64_t act = 0, pre = 0, rd = 0, wr = 0, ref = 0, io_byte = 0;
+  std::uint64_t mac = 0, dma_byte = 0, sp_row = 0, acc_row = 0;
+  std::uint64_t static_per_cycle = 0;
+  double clock_ghz = 1.0;
+
+  /// Quantizes validated `prices`. `static_mw` is the *resolved* static
+  /// power (override or model-derived; only the session sees the config
+  /// and the power model); `clock_ghz` turns it into an fJ/cycle rate and
+  /// backs the fJ -> watts conversions.
+  static Rates quantize(const EnergyPrices& prices, double static_mw,
+                        double clock_ghz) {
+    // mW / GHz == pJ/cycle, quantized once so that (rate x cycles) sums
+    // are exact integers like everything else.
+    const double static_pj_per_cycle = static_mw / clock_ghz;
+    GEMMINI_CONFIG_REQUIRE(quantizable(static_pj_per_cycle),
+                           "static power " << static_mw << " mW at "
+                                           << clock_ghz
+                                           << " GHz cannot be quantized");
+    Rates r;
+    r.act = to_fj(prices.dram_act_pj);
+    r.pre = to_fj(prices.dram_pre_pj);
+    r.rd = to_fj(prices.dram_rd_pj);
+    r.wr = to_fj(prices.dram_wr_pj);
+    r.ref = to_fj(prices.dram_ref_pj);
+    r.io_byte = to_fj(prices.dram_io_pj_per_byte);
+    r.mac = to_fj(prices.exec_mac_pj);
+    r.dma_byte = to_fj(prices.dma_pj_per_byte);
+    r.sp_row = to_fj(prices.sp_row_pj);
+    r.acc_row = to_fj(prices.acc_row_pj);
+    r.static_per_cycle = to_fj(static_pj_per_cycle);
+    r.clock_ghz = clock_ghz;
+    return r;
   }
 
-  /// `static_mw` is the *resolved* static power (override or model-derived;
-  /// the session computes it, because only the session sees the config and
-  /// the power model). `clock_ghz` converts it to an fJ/cycle rate and
-  /// backs the fJ->watts conversions.
-  EnergyMeter(const EnergyConfig& cfg, double static_mw, double clock_ghz,
-              metrics::Registry& reg);
-
-  const EnergyConfig& config() const { return cfg_; }
-  double clock_ghz() const { return clock_ghz_; }
-  double static_mw() const { return static_mw_; }
-  std::uint64_t static_fj_per_cycle() const { return static_fj_per_cycle_; }
-
-  /// fJ -> watts over a span of cycles at the meter's clock:
+  /// fJ -> watts over a span of cycles:
   /// W = fJ * 1e-15 / (cycles / (GHz * 1e9)) = fJ * GHz * 1e-6 / cycles.
   double watts(std::uint64_t fj, Cycle cycles) const {
     if (cycles == 0) return 0.0;
-    return static_cast<double>(fj) * clock_ghz_ * 1e-6 /
+    return static_cast<double>(fj) * clock_ghz * 1e-6 /
            static_cast<double>(cycles);
   }
-
-  // ---- DRAM hooks (src/mem/dram.cc) ---------------------------------------
-  /// Creates the per-channel counters; called from the Dram constructor so
-  /// channel handles exist before the first access.
-  void attach_dram(unsigned channels);
-
-  /// One column command on `channel`: RD or WR plus per-byte IO, plus an
-  /// ACT+PRE pair when the row buffer missed.
-  void dram_command(unsigned channel, bool row_hit, bool is_write,
-                    std::uint64_t bytes) {
-    std::uint64_t fj = bytes * io_byte_fj_;
-    dram_io_->add(bytes * io_byte_fj_);
-    if (is_write) {
-      dram_wr_->add(wr_fj_);
-      fj += wr_fj_;
-    } else {
-      dram_rd_->add(rd_fj_);
-      fj += rd_fj_;
-    }
-    if (!row_hit) {
-      dram_act_->add(act_fj_);
-      dram_pre_->add(pre_fj_);
-      fj += act_fj_ + pre_fj_;
-    }
-    dram_ch_[channel]->add(fj);
-  }
-
-  /// `periods` newly-entered refresh periods on `channel` (all-bank
-  /// refresh; the controller meters each period once, event-driven).
-  void dram_refresh(unsigned channel, std::uint64_t periods) {
-    const std::uint64_t fj = periods * ref_fj_;
-    dram_ref_->add(fj);
-    dram_ch_[channel]->add(fj);
-  }
-
-  // ---- Core-side hooks ----------------------------------------------------
-  std::uint64_t mac_fj() const { return mac_fj_; }
-  std::uint64_t dma_byte_fj() const { return dma_byte_fj_; }
-
-  /// The per-core counter "energy.core<N>.<what>_fj", created on demand
-  /// (components call this once, at construction, and cache the handle).
-  metrics::Counter& core_counter(int core, const char* what);
-
-  SramEnergy sp_hook(int core) {
-    return SramEnergy{&core_counter(core, "sp"), sp_row_fj_};
-  }
-  SramEnergy acc_hook(int core) {
-    return SramEnergy{&core_counter(core, "acc"), acc_row_fj_};
-  }
-
- private:
-  EnergyConfig cfg_;
-  double static_mw_;
-  double clock_ghz_;
-  metrics::Registry& reg_;
-
-  // Quantized price table (fJ).
-  std::uint64_t act_fj_, pre_fj_, rd_fj_, wr_fj_, ref_fj_, io_byte_fj_;
-  std::uint64_t mac_fj_, dma_byte_fj_, sp_row_fj_, acc_row_fj_;
-  std::uint64_t static_fj_per_cycle_;
-
-  // Cached handles (registry nodes are stable across reset()).
-  metrics::Counter* dram_act_;
-  metrics::Counter* dram_pre_;
-  metrics::Counter* dram_rd_;
-  metrics::Counter* dram_wr_;
-  metrics::Counter* dram_ref_;
-  metrics::Counter* dram_io_;
-  std::vector<metrics::Counter*> dram_ch_;
 };
+
+/// One DRAM channel's priced events.
+struct ChannelCounts {
+  std::uint64_t accesses = 0;         ///< column commands, reads + writes
+  std::uint64_t writes = 0;           ///< write column commands
+  std::uint64_t row_misses = 0;       ///< each one ACT + PRE pair
+  std::uint64_t bytes = 0;            ///< data-bus bytes
+  std::uint64_t refresh_periods = 0;  ///< all-bank refresh periods entered
+};
+
+/// One accelerator core's priced events.
+struct CoreCounts {
+  std::uint64_t macs = 0;
+  std::uint64_t dma_bytes = 0;  ///< loads + stores
+  std::uint64_t sp_rows = 0;
+  std::uint64_t acc_rows = 0;
+};
+
+/// Everything `price()` needs: the events of one span of `cycles` cycles
+/// (a whole run, or one sampler window).
+struct Counts {
+  Cycle cycles = 0;
+  std::vector<ChannelCounts> channels;
+  std::vector<CoreCounts> cores;
+};
+
+/// Energy of a span, in integer femtojoules, plus the derived headline
+/// numbers. Invariants the tests and bench gate on: the per-kind DRAM split
+/// sums to the per-channel split (both price every command once); when the
+/// sampler was armed, `window_fj` sums exactly to `total_fj`.
+struct EnergyReport {
+  bool enabled = false;
+
+  // DRAM, split by command kind and (in parallel) by channel.
+  std::uint64_t dram_act_fj = 0;
+  std::uint64_t dram_pre_fj = 0;
+  std::uint64_t dram_rd_fj = 0;
+  std::uint64_t dram_wr_fj = 0;
+  std::uint64_t dram_ref_fj = 0;
+  std::uint64_t dram_io_fj = 0;
+  std::uint64_t dram_fj = 0;  ///< sum of the six kinds above
+  std::vector<std::uint64_t> dram_channel_fj;  ///< indexed by channel
+
+  // Accelerator-side activity energy.
+  std::uint64_t exec_fj = 0;  ///< spatial-array MACs
+  std::uint64_t dma_fj = 0;   ///< DMA bytes streamed
+  std::uint64_t sp_fj = 0;    ///< scratchpad rows touched
+  std::uint64_t acc_fj = 0;   ///< accumulator rows touched
+  std::vector<std::uint64_t> core_fj;  ///< per-core exec+dma+sp+acc
+
+  std::uint64_t static_fj = 0;  ///< static rate x cycles
+  std::uint64_t total_fj = 0;   ///< dram + exec + dma + sp + acc + static
+
+  // Derived headline numbers.
+  double total_j = 0;
+  double avg_power_watts = 0;      ///< 0 on zero-cycle runs
+  double edp_joule_seconds = 0;    ///< total_j * seconds
+  double energy_per_token_pj = 0;  ///< llm runs only (total / tokens)
+
+  // Power-over-time: per-sampler-window energy and mean watts (empty when
+  // the metrics sampler was off). The last window may span fewer cycles.
+  Cycle sample_interval = 0;
+  std::vector<std::uint64_t> window_fj;
+  std::vector<double> window_watts;
+
+  friend bool operator==(const EnergyReport&, const EnergyReport&) = default;
+};
+
+/// energy = rates · counts: the whole report of one span (no timeline).
+inline EnergyReport price(const Rates& r, const Counts& n) {
+  EnergyReport e;
+  e.enabled = true;
+  for (const ChannelCounts& ch : n.channels) {
+    const std::uint64_t act = ch.row_misses * r.act;
+    const std::uint64_t pre = ch.row_misses * r.pre;
+    const std::uint64_t rd = (ch.accesses - ch.writes) * r.rd;
+    const std::uint64_t wr = ch.writes * r.wr;
+    const std::uint64_t ref = ch.refresh_periods * r.ref;
+    const std::uint64_t io = ch.bytes * r.io_byte;
+    e.dram_act_fj += act;
+    e.dram_pre_fj += pre;
+    e.dram_rd_fj += rd;
+    e.dram_wr_fj += wr;
+    e.dram_ref_fj += ref;
+    e.dram_io_fj += io;
+    e.dram_channel_fj.push_back(act + pre + rd + wr + ref + io);
+  }
+  e.dram_fj = e.dram_act_fj + e.dram_pre_fj + e.dram_rd_fj + e.dram_wr_fj +
+              e.dram_ref_fj + e.dram_io_fj;
+
+  for (const CoreCounts& c : n.cores) {
+    const std::uint64_t exec = c.macs * r.mac;
+    const std::uint64_t dma = c.dma_bytes * r.dma_byte;
+    const std::uint64_t sp = c.sp_rows * r.sp_row;
+    const std::uint64_t acc = c.acc_rows * r.acc_row;
+    e.exec_fj += exec;
+    e.dma_fj += dma;
+    e.sp_fj += sp;
+    e.acc_fj += acc;
+    e.core_fj.push_back(exec + dma + sp + acc);
+  }
+
+  e.static_fj = n.cycles * r.static_per_cycle;
+  e.total_fj = e.dram_fj + e.exec_fj + e.dma_fj + e.sp_fj + e.acc_fj +
+               e.static_fj;
+  e.total_j = static_cast<double>(e.total_fj) * 1e-15;
+  e.avg_power_watts = r.watts(e.total_fj, n.cycles);
+  const double seconds =
+      static_cast<double>(n.cycles) / (r.clock_ghz * 1e9);
+  e.edp_joule_seconds = e.total_j * seconds;
+  return e;
+}
 
 }  // namespace gemmini::energy

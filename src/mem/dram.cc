@@ -22,15 +22,9 @@ const char* dram_interleave_name(DramInterleave i) {
 }
 
 Dram::Dram(const DramConfig& cfg, trace::Tracer* tracer,
-           fault::Injector* injector, metrics::Metrics* metrics,
-           energy::EnergyMeter* energy)
-    : cfg_(cfg),
-      tracer_(tracer),
-      injector_(injector),
-      metrics_(metrics),
-      energy_(energy) {
+           fault::Injector* injector, metrics::Metrics* metrics)
+    : cfg_(cfg), tracer_(tracer), injector_(injector), metrics_(metrics) {
   cfg_.validate();
-  if (energy_ != nullptr) energy_->attach_dram(cfg_.channels);
   channels_.resize(cfg_.channels);
   for (Channel& ch : channels_) ch.banks.assign(cfg_.banks, Bank{});
   by_channel_.resize(cfg_.channels);
@@ -44,6 +38,8 @@ Dram::Dram(const DramConfig& cfg, trace::Tracer* tracer,
       m_channels_[c].bytes = &reg.counter(p + ".bytes");
       m_channels_[c].row_hits = &reg.counter(p + ".row_hits");
       m_channels_[c].row_misses = &reg.counter(p + ".row_misses");
+      m_channels_[c].writes = &reg.counter(p + ".writes");
+      m_channels_[c].refresh_periods = &reg.counter(p + ".refresh_periods");
       m_channels_[c].queue_depth = &reg.gauge(p + ".queue_depth");
     }
   }
@@ -148,11 +144,13 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
       bank.open_valid = false;
       bank.refresh_period = period;
     }
-    // Energy: charge each refresh period the channel has entered exactly
-    // once (period p means p + 1 windows so far, including period 0's).
-    if (energy_ != nullptr && period + 1 > ch.ref_periods_metered) {
-      energy_->dram_refresh(ci, period + 1 - ch.ref_periods_metered);
-      ch.ref_periods_metered = period + 1;
+    // Count each refresh period the channel has entered exactly once
+    // (period p means p + 1 windows so far, including period 0's).
+    if (period + 1 > cs.refresh_periods) {
+      if (metrics_ != nullptr) {
+        m_channels_[ci].refresh_periods->add(period + 1 - cs.refresh_periods);
+      }
+      cs.refresh_periods = period + 1;
     }
   }
 
@@ -162,6 +160,7 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
   cs.accesses += 1;
   cs.bytes += rq.bytes;
   (row_hit ? cs.row_hits : cs.row_misses) += 1;
+  if (rq.is_write) cs.writes += 1;
   const std::size_t ri = requestor_index(rq.requestor);
   RequestorStats& rs = by_requestor_[ri];
   rs.accesses += 1;
@@ -173,12 +172,10 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
     cm.accesses->add();
     cm.bytes->add(rq.bytes);
     (row_hit ? cm.row_hits : cm.row_misses)->add();
+    if (rq.is_write) cm.writes->add();
     const RequestorMetrics& rm = m_requestors_[ri];
     rm.bytes->add(rq.bytes);
     (row_hit ? rm.row_hits : rm.row_misses)->add();
-  }
-  if (energy_ != nullptr) {
-    energy_->dram_command(ci, row_hit, rq.is_write, rq.bytes);
   }
 
   // The channel's data bus serializes only the data *bursts*, so accesses
@@ -284,9 +281,6 @@ void Dram::drain_writes() {
 void Dram::note_queue_depth(unsigned ci, Cycle t) {
   Channel& ch = channels_[ci];
   ch.depth.record(t, static_cast<double>(ch.queue.size()));
-  ChannelStats& cs = by_channel_[ci];
-  cs.avg_queue_depth = ch.depth.mean();
-  cs.max_queue_depth = ch.depth.max();
   if (metrics_ != nullptr) {
     m_channels_[ci].queue_depth->set(static_cast<double>(ch.queue.size()));
   }
@@ -304,7 +298,6 @@ void Dram::reset_time() {
     ch.busy_until = 0;
     ch.queue.clear();
     ch.depth.reset();
-    ch.ref_periods_metered = 0;
   }
   next_seq_ = 0;
   by_requestor_.clear();

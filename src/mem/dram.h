@@ -36,7 +36,6 @@
 #include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
-#include "src/energy/energy.h"
 #include "src/fault/fault.h"
 #include "src/metrics/metrics.h"
 #include "src/trace/trace.h"
@@ -138,10 +137,10 @@ class Dram {
     std::uint64_t queue_wait_cycles = 0;
     std::uint64_t write_drains = 0;      ///< forced drain episodes
     std::uint64_t writes_buffered = 0;   ///< writes that entered the queue
-    /// Time-weighted request-queue depth (base::TimeWeighted over enqueue /
-    /// dequeue events); observational only — scheduling is unaffected.
-    double avg_queue_depth = 0;
-    double max_queue_depth = 0;
+    std::uint64_t writes = 0;            ///< write column commands issued
+    /// All-bank refresh periods entered, counted as the first access of
+    /// each period issues (period p means p + 1 periods so far).
+    std::uint64_t refresh_periods = 0;
 
     friend bool operator==(const ChannelStats&, const ChannelStats&) = default;
   };
@@ -150,13 +149,10 @@ class Dram {
   /// the fault layer can flip bits and charge ECC correction latency.
   /// `metrics` (may be null) registers per-channel counters/gauges
   /// ("dram.ch<N>.*") at construction and per-requestor counters
-  /// ("dram.req<id>.*") lazily as requestors appear. `energy` (may be null)
-  /// prices each issued command (RD/WR + IO, ACT+PRE on row misses, REF per
-  /// refresh period) into the registry — observational only.
+  /// ("dram.req<id>.*") lazily as requestors appear.
   explicit Dram(const DramConfig& cfg, trace::Tracer* tracer = nullptr,
                 fault::Injector* injector = nullptr,
-                metrics::Metrics* metrics = nullptr,
-                energy::EnergyMeter* energy = nullptr);
+                metrics::Metrics* metrics = nullptr);
 
   /// Which channel services `addr`, under the configured interleave policy.
   unsigned channel_of(PAddr addr) const;
@@ -203,6 +199,11 @@ class Dram {
   const std::vector<ChannelStats>& channel_stats() const {
     return by_channel_;
   }
+  /// Channel `ch`'s time-weighted request-queue depth since the last
+  /// reset_time (observational only — scheduling is unaffected).
+  const TimeWeighted& queue_depth(unsigned ch) const {
+    return channels_[ch].depth;
+  }
   void reset_time();
 
  private:
@@ -229,9 +230,6 @@ class Dram {
     Cycle busy_until = 0;          ///< data bus
     std::vector<Request> queue;    ///< pending (buffered writes + in-flight read)
     TimeWeighted depth;            ///< queue-depth accumulator (observational)
-    /// Refresh periods already charged to the energy meter (count of
-    /// periods entered, so period `p` charges `p + 1 - metered` on entry).
-    std::uint64_t ref_periods_metered = 0;
   };
 
   Request make_request(PAddr addr, std::uint64_t bytes, Cycle t,
@@ -244,7 +242,7 @@ class Dram {
   /// Pops scheduler picks from `ci`'s queue until `target` writes remain.
   void drain_channel_to(unsigned ci, std::size_t target);
   /// Records the channel's current queue depth at time `t` into the
-  /// time-weighted accumulator and mirrors mean/max into ChannelStats.
+  /// time-weighted accumulator.
   void note_queue_depth(unsigned ci, Cycle t);
 
   std::size_t requestor_index(int id);
@@ -256,6 +254,8 @@ class Dram {
     metrics::Counter* bytes = nullptr;
     metrics::Counter* row_hits = nullptr;
     metrics::Counter* row_misses = nullptr;
+    metrics::Counter* writes = nullptr;
+    metrics::Counter* refresh_periods = nullptr;
     metrics::Gauge* queue_depth = nullptr;
   };
   struct RequestorMetrics {
@@ -268,7 +268,6 @@ class Dram {
   trace::Tracer* tracer_;
   fault::Injector* injector_;
   metrics::Metrics* metrics_;
-  energy::EnergyMeter* energy_;
   std::vector<Channel> channels_;
   std::uint64_t next_seq_ = 0;
   std::vector<RequestorStats> by_requestor_;

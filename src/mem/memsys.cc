@@ -6,8 +6,7 @@ namespace gemmini {
 
 MemorySystem::MemorySystem(const MemSysConfig& cfg, trace::Tracer* tracer,
                            fault::Injector* injector,
-                           metrics::Metrics* metrics,
-                           energy::EnergyMeter* energy)
+                           metrics::Metrics* metrics)
     : cfg_(cfg),
       tracer_(tracer),
       sysbus_(cfg.system_bus, "sysbus", tracer, trace::Unit::kSystemBus,
@@ -15,7 +14,7 @@ MemorySystem::MemorySystem(const MemSysConfig& cfg, trace::Tracer* tracer,
       l2_(std::make_unique<Cache>(cfg.l2)),
       membus_(cfg.memory_bus, "membus", tracer, trace::Unit::kMemoryBus,
               metrics),
-      dram_(cfg.dram, tracer, injector, metrics, energy) {
+      dram_(cfg.dram, tracer, injector, metrics) {
   cfg_.validate();
   if (metrics != nullptr) {
     m_l2_hits_ = &metrics->registry().counter("l2.hits");

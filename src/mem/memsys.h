@@ -53,13 +53,11 @@ class MemorySystem {
   /// the memory system itself emits the L2 hit/miss events. `injector` (may
   /// be null) reaches the DRAM read path for fault injection. `metrics`
   /// (may be null) is shared the same way; the memory system owns the
-  /// `l2.hits`/`l2.misses` counters. `energy` (may be null) reaches the
-  /// DRAM controller's command-level meter.
+  /// `l2.hits`/`l2.misses` counters.
   explicit MemorySystem(const MemSysConfig& cfg,
                         trace::Tracer* tracer = nullptr,
                         fault::Injector* injector = nullptr,
-                        metrics::Metrics* metrics = nullptr,
-                        energy::EnergyMeter* energy = nullptr);
+                        metrics::Metrics* metrics = nullptr);
 
   /// Timing access: `bytes` at physical address `addr`, issued at cycle `t`.
   /// Returns the completion cycle. Splits across cache lines; state (cache

@@ -777,7 +777,7 @@ SearchResult Experiment::search(const SearchSpec& spec) const {
   GEMMINI_CONFIG_REQUIRE(
       !needs_energy || energy_cfg_.active(),
       "sim::Experiment::search: an energy/EDP objective or a power budget "
-      "needs the energy meter; call .energy() with nonzero prices first");
+      "needs energy prices; call .energy() with nonzero prices first");
 
   const Sweep grid = sweep();
   for (const SweepPoint& p : grid.points()) {

@@ -84,13 +84,13 @@ struct SweepPoint {
   /// point's Report::metrics. Observational only; cheap enough to leave on
   /// for a whole grid (merge with sim::merge_metrics afterwards).
   metrics::MetricsConfig metrics{};
-  /// Energy metering for this point (src/energy/): when active, the
-  /// Session run paths (single inference, multicore, llm decode) carry the
-  /// command-level DRAM/SRAM/MAC energy meter and the point's
-  /// Report::energy section is filled. Observational only — golden cycles
-  /// are bit-identical with the meter attached. The serve and
-  /// fault-campaign paths ignore this field (their reports aggregate many
-  /// runs; energy accounting there is out of scope).
+  /// Energy prices for this point (src/energy/): when active, the Session
+  /// run paths (single inference, multicore, llm decode) price the run's
+  /// DRAM command, SRAM row, DMA byte and MAC counts into the point's
+  /// Report::energy section. Derived after the run, so golden cycles are
+  /// bit-identical with energy on. The serve and fault-campaign paths
+  /// ignore this field (their reports aggregate many runs; energy
+  /// accounting there is out of scope).
   energy::EnergyConfig energy{};
 };
 
@@ -290,7 +290,7 @@ class Experiment {
   Experiment& metrics(metrics::MetricsConfig cfg =
                           metrics::MetricsConfig::enabled_default());
 
-  /// Energy metering for *every* sweep point; see SweepPoint::energy.
+  /// Energy prices for *every* sweep point; see SweepPoint::energy.
   /// Required by search() when the objective or the power budget needs
   /// energy numbers.
   Experiment& energy(energy::EnergyConfig cfg =

@@ -25,6 +25,7 @@
 
 #include "src/accel/accelerator.h"
 #include "src/base/types.h"
+#include "src/energy/energy.h"
 #include "src/estimate/area_model.h"
 #include "src/fault/fault.h"
 #include "src/metrics/metrics.h"
@@ -301,49 +302,9 @@ struct MetricsReport {
       default;
 };
 
-/// Energy section of a Report — command-level DRAM energy plus exec / DMA /
-/// SRAM activity energy and static power, all in integer femtojoules derived
-/// bit-exactly from end-of-run registry counters (src/energy/energy.h).
-/// Invariants the tests and bench gate on: the per-kind DRAM split sums to
-/// the per-channel split (both count every command once); when the sampler
-/// was armed, `window_fj` sums exactly to `total_fj`.
-struct EnergyReport {
-  bool enabled = false;
-
-  // DRAM, split by command kind and (in parallel) by channel.
-  std::uint64_t dram_act_fj = 0;
-  std::uint64_t dram_pre_fj = 0;
-  std::uint64_t dram_rd_fj = 0;
-  std::uint64_t dram_wr_fj = 0;
-  std::uint64_t dram_ref_fj = 0;
-  std::uint64_t dram_io_fj = 0;
-  std::uint64_t dram_fj = 0;  ///< sum of the six kinds above
-  std::vector<std::uint64_t> dram_channel_fj;  ///< indexed by channel
-
-  // Accelerator-side activity energy.
-  std::uint64_t exec_fj = 0;  ///< spatial-array MACs
-  std::uint64_t dma_fj = 0;   ///< DMA bytes streamed
-  std::uint64_t sp_fj = 0;    ///< scratchpad rows touched
-  std::uint64_t acc_fj = 0;   ///< accumulator rows touched
-  std::vector<std::uint64_t> core_fj;  ///< per-core exec+dma+sp+acc
-
-  std::uint64_t static_fj = 0;  ///< static rate x run cycles
-  std::uint64_t total_fj = 0;   ///< dram + exec + dma + sp + acc + static
-
-  // Derived headline numbers.
-  double total_j = 0;
-  double avg_power_watts = 0;      ///< 0 on zero-cycle runs
-  double edp_joule_seconds = 0;    ///< total_j * seconds
-  double energy_per_token_pj = 0;  ///< llm runs only (total / tokens)
-
-  // Power-over-time: per-sampler-window energy and mean watts (empty when
-  // the metrics sampler was off). The last window may span fewer cycles.
-  Cycle sample_interval = 0;
-  std::vector<std::uint64_t> window_fj;
-  std::vector<double> window_watts;
-
-  friend bool operator==(const EnergyReport&, const EnergyReport&) = default;
-};
+/// Energy section of a Report: integer-femtojoule DRAM, exec, DMA, SRAM and
+/// static energy derived from the run's event counts (src/energy/energy.h).
+using EnergyReport = energy::EnergyReport;
 
 /// End-to-end result of one experiment (one model on one SoC config).
 struct Report {

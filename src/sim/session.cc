@@ -31,11 +31,39 @@ std::vector<LayerIntensity> plan_layer_intensity(const Plan& plan) {
   return out;
 }
 
+// Publishes the derived totals as "energy.*" gauges, so OpenMetrics exports
+// carry them without a Report in hand.
+void publish_energy(metrics::Registry& reg, const EnergyReport& e) {
+  const auto set = [&reg](const std::string& name, std::uint64_t fj) {
+    reg.gauge(name).set(static_cast<double>(fj));
+  };
+  set("energy.dram.act_fj", e.dram_act_fj);
+  set("energy.dram.pre_fj", e.dram_pre_fj);
+  set("energy.dram.rd_fj", e.dram_rd_fj);
+  set("energy.dram.wr_fj", e.dram_wr_fj);
+  set("energy.dram.ref_fj", e.dram_ref_fj);
+  set("energy.dram.io_fj", e.dram_io_fj);
+  for (std::size_t ch = 0; ch < e.dram_channel_fj.size(); ++ch) {
+    set("energy.dram.ch" + std::to_string(ch) + ".fj", e.dram_channel_fj[ch]);
+  }
+  set("energy.exec_fj", e.exec_fj);
+  set("energy.dma_fj", e.dma_fj);
+  set("energy.sp_fj", e.sp_fj);
+  set("energy.acc_fj", e.acc_fj);
+  for (std::size_t core = 0; core < e.core_fj.size(); ++core) {
+    set("energy.core" + std::to_string(core) + ".fj", e.core_fj[core]);
+  }
+  set("energy.static_fj", e.static_fj);
+  set("energy.total_fj", e.total_fj);
+  reg.gauge("energy.avg_power_watts").set(e.avg_power_watts);
+}
+
 }  // namespace
 
 Session Session::Builder::build() const {
   try {
     cfg_.validate();
+    energy_.validate();
   } catch (const ConfigError& e) {
     throw ConfigError("sim::Session '" + cfg_.name +
                       "': invalid configuration: " + e.what());
@@ -65,29 +93,18 @@ Session::Session(const SocConfig& cfg, bool functional, std::uint64_t seed,
   }
   if (metrics_cfg.enabled) {
     metrics_ = std::make_unique<metrics::Metrics>(metrics_cfg);
-    metrics_visible_ = true;
   }
   if (energy_cfg.active()) {
-    if (!metrics_) {
-      // The meter accumulates into a metrics registry; when the user did
-      // not ask for metrics, back it with a hidden one (no sampling, no
-      // export, invisible in Report::metrics).
-      metrics::MetricsConfig hidden;
-      hidden.enabled = true;
-      hidden.sample_interval_cycles = 0;
-      metrics_ = std::make_unique<metrics::Metrics>(hidden);
-    }
     const energy::EnergyPrices& p = energy_cfg.prices;
     const double static_mw =
         p.static_mw > 0
             ? p.static_mw
             : (p.static_from_model ? PowerModel{}.accelerator_mw(cfg.accel)
                                    : 0.0);
-    meter_ = std::make_unique<energy::EnergyMeter>(
-        energy_cfg, static_mw, cfg.accel.clock_ghz, metrics_->registry());
+    energy_rates_ =
+        energy::Rates::quantize(p, static_mw, cfg.accel.clock_ghz);
   }
-  soc_ = std::make_unique<Soc>(cfg, tracer_.get(), metrics_.get(),
-                               meter_.get());
+  soc_ = std::make_unique<Soc>(cfg, tracer_.get(), metrics_.get());
   soc_->set_functional(functional_);
 }
 
@@ -123,8 +140,8 @@ trace::PerfettoOptions Session::perfetto_options(int indent) const {
       opts.counters.push_back(std::move(ct));
     }
     // Derived power-over-time track: the same per-window watts the Report
-    // carries, visible next to the raw energy counters.
-    if (meter_ && last_finish_ > 0) {
+    // carries, visible next to the raw counter tracks it is priced from.
+    if (energy_rates_ && last_finish_ > 0) {
       const EnergyReport e = derive_energy(last_finish_);
       if (!e.window_watts.empty()) {
         trace::CounterTrack ct;
@@ -290,7 +307,8 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
     }
     rep.substrate.per_requestor.push_back(std::move(t));
   }
-  for (const Dram::ChannelStats& cs : soc_->memory().dram().channel_stats()) {
+  const Dram& dram = soc_->memory().dram();
+  for (const Dram::ChannelStats& cs : dram.channel_stats()) {
     DramChannelTraffic ch;
     ch.channel = cs.channel;
     ch.accesses = cs.accesses;
@@ -301,8 +319,8 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
     ch.queue_wait_cycles = cs.queue_wait_cycles;
     ch.write_drains = cs.write_drains;
     ch.writes_buffered = cs.writes_buffered;
-    ch.avg_queue_depth = cs.avg_queue_depth;
-    ch.max_queue_depth = cs.max_queue_depth;
+    ch.avg_queue_depth = dram.queue_depth(cs.channel).mean();
+    ch.max_queue_depth = dram.queue_depth(cs.channel).max();
     rep.substrate.dram_channels.push_back(ch);
   }
   std::uint64_t row_hits = 0, row_misses = 0;
@@ -332,16 +350,13 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
     rep.reliability.injection = inj->stats();
   }
 
-  if (meter_) {
+  if (energy_rates_) {
     rep.energy = derive_energy(rep.cycles);
     last_finish_ = rep.cycles;
-    // Surface the headline figure through the registry so OpenMetrics
-    // exports carry it without a Report in hand.
-    metrics_->registry().gauge("energy.avg_power_watts")
-        .set(rep.energy.avg_power_watts);
+    if (metrics_) publish_energy(metrics_->registry(), rep.energy);
   }
 
-  if (metrics_ && metrics_visible_) {
+  if (metrics_) {
     rep.metrics = snapshot_metrics(*metrics_);
     if (!metrics_->config().export_path.empty()) {
       metrics::write_openmetrics(metrics_->registry(),
@@ -353,92 +368,82 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
   return rep;
 }
 
-namespace {
-
-// Registry lookup that treats "never created" as zero: a price of zero
-// means the meter skipped the counter entirely.
-std::uint64_t counter_or_zero(const metrics::Registry& reg,
-                              const std::string& name) {
-  const auto& all = reg.counters();
-  auto it = all.find(name);
-  return it == all.end() ? 0 : it->second.value();
+energy::Counts Session::run_counts(Cycle cycles) const {
+  energy::Counts n;
+  n.cycles = cycles;
+  for (const Dram::ChannelStats& cs : soc_->memory().dram().channel_stats()) {
+    n.channels.push_back({.accesses = cs.accesses,
+                          .writes = cs.writes,
+                          .row_misses = cs.row_misses,
+                          .bytes = cs.bytes,
+                          .refresh_periods = cs.refresh_periods});
+  }
+  for (unsigned core = 0; core < config().cores; ++core) {
+    const Accelerator& a = soc_->accelerator(core);
+    n.cores.push_back({.macs = a.report().macs,
+                       .dma_bytes = a.dma().stats().bytes,
+                       .sp_rows = a.scratchpad().stats().rows,
+                       .acc_rows = a.accumulator().stats().rows});
+  }
+  return n;
 }
-
-bool is_energy_dynamic_series(const std::string& name) {
-  // Per-channel DRAM totals plus per-core totals partition the dynamic
-  // energy exactly once; the per-kind "energy.dram.*_fj" counters record
-  // the same commands a second time and must stay out of the window sum.
-  return name.rfind("energy.dram.ch", 0) == 0 ||
-         name.rfind("energy.core", 0) == 0;
-}
-
-}  // namespace
 
 EnergyReport Session::derive_energy(Cycle cycles) const {
-  EnergyReport e;
-  e.enabled = true;
-  const metrics::Registry& reg = metrics_->registry();
+  const energy::Counts run = run_counts(cycles);
+  EnergyReport e = energy::price(*energy_rates_, run);
+  if (!metrics_ || !metrics_->sampling()) return e;
 
-  e.dram_act_fj = counter_or_zero(reg, "energy.dram.act_fj");
-  e.dram_pre_fj = counter_or_zero(reg, "energy.dram.pre_fj");
-  e.dram_rd_fj = counter_or_zero(reg, "energy.dram.rd_fj");
-  e.dram_wr_fj = counter_or_zero(reg, "energy.dram.wr_fj");
-  e.dram_ref_fj = counter_or_zero(reg, "energy.dram.ref_fj");
-  e.dram_io_fj = counter_or_zero(reg, "energy.dram.io_fj");
-  e.dram_fj = e.dram_act_fj + e.dram_pre_fj + e.dram_rd_fj + e.dram_wr_fj +
-              e.dram_ref_fj + e.dram_io_fj;
-
-  for (unsigned ch = 0; ch < config().mem.dram.channels; ++ch) {
-    e.dram_channel_fj.push_back(
-        counter_or_zero(reg, "energy.dram.ch" + std::to_string(ch) + ".fj"));
+  // The power timeline: the same prices applied to each window's deltas of
+  // the counters that mirror the Stats read above.
+  const metrics::TimeSeriesSampler& s = metrics_->sampler();
+  const Cycle interval = s.interval();
+  const std::size_t windows = s.windows();
+  e.sample_interval = interval;
+  std::vector<energy::Counts> per_window(windows);
+  for (std::size_t w = 0; w < windows; ++w) {
+    // Every window but the last spans a full interval; the tail spans
+    // whatever remained at finish (possibly zero cycles).
+    per_window[w].cycles =
+        w + 1 < windows
+            ? interval
+            : cycles - static_cast<Cycle>(windows - 1) * interval;
+    per_window[w].channels.resize(run.channels.size());
+    per_window[w].cores.resize(run.cores.size());
   }
-
-  for (unsigned core = 0; core < config().cores; ++core) {
-    const std::string base = "energy.core" + std::to_string(core) + ".";
-    const std::uint64_t exec = counter_or_zero(reg, base + "exec_fj");
-    const std::uint64_t dma = counter_or_zero(reg, base + "dma_fj");
-    const std::uint64_t sp = counter_or_zero(reg, base + "sp_fj");
-    const std::uint64_t acc = counter_or_zero(reg, base + "acc_fj");
-    e.exec_fj += exec;
-    e.dma_fj += dma;
-    e.sp_fj += sp;
-    e.acc_fj += acc;
-    e.core_fj.push_back(exec + dma + sp + acc);
+  // Adds counter `name`'s per-window deltas into `field` of element `i` of
+  // each window's `part` (channels or cores).
+  const auto add = [&](const std::string& name, auto part, std::size_t i,
+                       auto field) {
+    const auto it = s.counter_series().find(name);
+    if (it == s.counter_series().end()) return;
+    const std::vector<std::uint64_t>& d = it->second.deltas;
+    for (std::size_t w = 0; w < windows && w < d.size(); ++w) {
+      (per_window[w].*part)[i].*field += d[w];
+    }
+  };
+  using CH = energy::ChannelCounts;
+  using CO = energy::CoreCounts;
+  for (std::size_t c = 0; c < run.channels.size(); ++c) {
+    const std::string p = "dram.ch" + std::to_string(c) + ".";
+    add(p + "accesses", &energy::Counts::channels, c, &CH::accesses);
+    add(p + "writes", &energy::Counts::channels, c, &CH::writes);
+    add(p + "row_misses", &energy::Counts::channels, c, &CH::row_misses);
+    add(p + "bytes", &energy::Counts::channels, c, &CH::bytes);
+    add(p + "refresh_periods", &energy::Counts::channels, c,
+        &CH::refresh_periods);
   }
-
-  e.static_fj = cycles * meter_->static_fj_per_cycle();
-  e.total_fj = e.dram_fj + e.exec_fj + e.dma_fj + e.sp_fj + e.acc_fj +
-               e.static_fj;
-  e.total_j = static_cast<double>(e.total_fj) * 1e-15;
-  e.avg_power_watts = meter_->watts(e.total_fj, cycles);
-  const double seconds =
-      static_cast<double>(cycles) / (config().accel.clock_ghz * 1e9);
-  e.edp_joule_seconds = e.total_j * seconds;
-
-  if (metrics_->sampling()) {
-    const metrics::TimeSeriesSampler& s = metrics_->sampler();
-    const Cycle interval = s.interval();
-    const std::size_t windows = s.windows();
-    e.sample_interval = interval;
-    std::vector<std::uint64_t> dyn(windows, 0);
-    for (const auto& [name, cs] : s.counter_series()) {
-      if (!is_energy_dynamic_series(name)) continue;
-      for (std::size_t w = 0; w < windows && w < cs.deltas.size(); ++w) {
-        dyn[w] += cs.deltas[w];
-      }
-    }
-    for (std::size_t w = 0; w < windows; ++w) {
-      // Every window but the last spans a full interval; the tail spans
-      // whatever remained at finish (possibly zero cycles).
-      const Cycle span = w + 1 < windows
-                             ? interval
-                             : cycles - static_cast<Cycle>(windows - 1) *
-                                            interval;
-      const std::uint64_t fj =
-          dyn[w] + span * meter_->static_fj_per_cycle();
-      e.window_fj.push_back(fj);
-      e.window_watts.push_back(meter_->watts(fj, span));
-    }
+  for (std::size_t c = 0; c < run.cores.size(); ++c) {
+    const std::string p = "core" + std::to_string(c) + ".";
+    add(p + "exec.macs", &energy::Counts::cores, c, &CO::macs);
+    add(p + "dma.load_bytes", &energy::Counts::cores, c, &CO::dma_bytes);
+    add(p + "dma.store_bytes", &energy::Counts::cores, c, &CO::dma_bytes);
+    add(p + "sp.rows", &energy::Counts::cores, c, &CO::sp_rows);
+    add(p + "acc.rows", &energy::Counts::cores, c, &CO::acc_rows);
+  }
+  for (const energy::Counts& window : per_window) {
+    const std::uint64_t fj = energy::price(*energy_rates_, window).total_fj;
+    e.window_fj.push_back(fj);
+    e.window_watts.push_back(energy_rates_->watts(fj, window.cycles));
   }
   return e;
 }

@@ -134,15 +134,16 @@ class Session {
       metrics_ = std::move(cfg);
       return *this;
     }
-    /// Attaches the command-level energy meter (src/energy/): DRAM
-    /// ACT/PRE/RD/WR/REF + IO prices on the controller's issue path, exec
-    /// MAC / DMA byte / SRAM row prices on the accelerator, static power
-    /// from the estimate-layer power model (or an explicit override), all
-    /// folded into Report::energy. Observational only — cycle counts are
-    /// bit-identical on and off, and an all-zero price table produces a
-    /// Report byte-identical to a session built without energy. Rides the
-    /// metrics registry: when `.metrics()` was not also configured, a
-    /// hidden registry is created that never surfaces in Report::metrics.
+    /// Prices the run (src/energy/): DRAM ACT/PRE/RD/WR/REF + IO, exec
+    /// MACs, DMA bytes and SRAM rows, plus static power from the
+    /// estimate-layer power model (or an explicit override). Energy is
+    /// derived from the components' event counts at report time, so it is
+    /// observational by construction: cycle counts are bit-identical on and
+    /// off, and an all-zero price table produces a Report byte-identical to
+    /// a session built without energy. With `.metrics()` sampling as well,
+    /// the same prices applied to each window's counter deltas give the
+    /// power timeline; the derived totals are published as `energy.*`
+    /// gauges.
     Builder& energy(energy::EnergyConfig cfg) {
       energy_ = std::move(cfg);
       return *this;
@@ -267,9 +268,7 @@ class Session {
   // ---- Metrics -------------------------------------------------------------
   /// True iff the session was built with `.metrics(...)` and an enabled
   /// config. The registry holds the most recent run (runs reset it first).
-  /// A hidden registry created only to back the energy meter does not
-  /// count: metrics the user never asked for stay invisible.
-  bool metering() const { return metrics_ != nullptr && metrics_visible_; }
+  bool metering() const { return metrics_ != nullptr; }
   /// The live metrics collector. GEMMINI_CHECKs that metering is on.
   metrics::Metrics& metrics() const;
   /// The most recent run's registry rendered as OpenMetrics/Prometheus
@@ -280,10 +279,9 @@ class Session {
 
   // ---- Energy --------------------------------------------------------------
   /// True iff the session was built with `.energy(...)` and an active
-  /// config (enabled + at least one non-zero price).
-  bool energy_metering() const { return meter_ != nullptr; }
-  /// The attached meter; nullptr when energy is off.
-  const energy::EnergyMeter* energy_meter() const { return meter_.get(); }
+  /// config (enabled + at least one non-zero price), i.e. reports carry an
+  /// energy section.
+  bool energy_metering() const { return energy_rates_.has_value(); }
 
   // ---- Low-level access (the session still owns everything) ---------------
   Soc& soc() { return *soc_; }
@@ -308,8 +306,12 @@ class Session {
                      const std::vector<CoreResult>& results);
   Report make_report(const std::string& model_name, Cycle cpu_baseline,
                      const std::vector<CoreResult>& results);
-  /// Derives the energy section bit-exactly from the registry's "energy.*"
-  /// counters (plus the static rate x `cycles`); meter_ must be non-null.
+  /// The priced event counts of the most recent run (`cycles` long), read
+  /// from the components' Stats.
+  energy::Counts run_counts(Cycle cycles) const;
+  /// Prices run_counts for the totals and, when the sampler ran, each
+  /// window's counter deltas for the power timeline; energy_rates_ must be
+  /// set.
   EnergyReport derive_energy(Cycle cycles) const;
   trace::PerfettoOptions perfetto_options(int indent) const;
 
@@ -325,11 +327,8 @@ class Session {
   // Heap-allocated for the same reason as the Tracer: components cache
   // Counter*/Gauge* handles into the registry, which must survive moves.
   std::unique_ptr<metrics::Metrics> metrics_;
-  /// False when metrics_ exists only as the energy meter's hidden backing
-  /// registry (user never called .metrics()): Report::metrics stays
-  /// disabled and metering() reports false.
-  bool metrics_visible_ = false;
-  std::unique_ptr<energy::EnergyMeter> meter_;
+  /// The quantized price vector; empty when energy is off.
+  std::optional<energy::Rates> energy_rates_;
   /// SoC finish of the most recent run (drives the Perfetto power track's
   /// final partial window).
   Cycle last_finish_ = 0;

@@ -29,14 +29,14 @@ SocConfig SocConfig::big_l2() {
 }
 
 Soc::Soc(const SocConfig& cfg, trace::Tracer* tracer,
-         metrics::Metrics* metrics, energy::EnergyMeter* energy)
+         metrics::Metrics* metrics)
     : cfg_(cfg),
       tracer_(tracer),
       metrics_(metrics),
       injector_(cfg.faults.enabled
                     ? std::make_unique<fault::Injector>(cfg.faults, tracer)
                     : nullptr),
-      mem_(cfg.mem, tracer, injector_.get(), metrics, energy),
+      mem_(cfg.mem, tracer, injector_.get(), metrics),
       frames_(0x8000'0000ull),
       ptw_(cfg.accel.translation.ptw, mem_, RequestorId{kPtwRequestor}) {
   cfg_.validate();
@@ -47,7 +47,7 @@ Soc::Soc(const SocConfig& cfg, trace::Tracer* tracer,
         /*va_base=*/0x1'0000'0000ull + c * 0x10'0000'0000ull));
     accels_.push_back(std::make_unique<Accelerator>(
         cfg_.accel, mem_, ptw_, RequestorId{static_cast<int>(c)}, tracer,
-        injector_.get(), metrics, energy));
+        injector_.get(), metrics));
   }
 }
 
@@ -154,8 +154,10 @@ std::vector<CoreResult> Soc::run_parallel(
   for (std::size_t i = 0; i < streams.size(); ++i) {
     execs[i].stream = streams[i];
     execs[i].next_os_switch = cfg_.os.period_cycles;
-    accels_[i]->reset_report();
   }
+  // Every core's report restarts, idle ones included, so per-core counts
+  // cover this run only, like the registry's.
+  for (auto& a : accels_) a->reset_report();
   // The L2 and TLB counts restart with the registry (their contents stay
   // warm), so they cover this run only, like the bus and DRAM tables that
   // reset_time() clears.

@@ -81,11 +81,8 @@ class Soc {
   /// only): components register their counters/gauges at construction and
   /// the SoC drives the TimeSeriesSampler from the event-merge frontier,
   /// which is non-decreasing — so timelines are deterministic.
-  /// `energy` (may be null = energy off) is threaded to the DRAM controller
-  /// and each core's accelerator (exec MACs, DMA bytes, SRAM rows).
   explicit Soc(const SocConfig& cfg, trace::Tracer* tracer = nullptr,
-               metrics::Metrics* metrics = nullptr,
-               energy::EnergyMeter* energy = nullptr);
+               metrics::Metrics* metrics = nullptr);
 
   /// Per-core process address space (create one per stream you lower).
   AddressSpace& address_space(unsigned core) { return *spaces_[core]; }

@@ -1,19 +1,21 @@
-// Energy subsystem tests (src/energy/ + the wiring through Dram,
-// Accelerator, Session, Experiment): price quantization, the
+// Energy subsystem tests (src/energy/ + the counts it prices from Dram,
+// Accelerator, Session, Experiment): price quantization and validation, the
 // zero-price/zero-overhead-off contract (reports byte-identical to a
-// session built without energy), golden-cycle invariance with the meter
-// attached, exact per-kind vs per-channel reconciliation against the
-// independently collected substrate counters, scheduler energy ordering
-// (FR-FCFS <= FCFS on the same stream), the power-over-time timeline
-// (windows sum exactly to the total), the successive-halving search
-// (matches the exhaustive optimum, byte-identical across thread counts,
-// power-budget feasibility), and regression tests for the derived-rate
+// session built without energy), golden-cycle invariance with energy on,
+// exact per-kind vs per-channel reconciliation against the substrate
+// counters (on a first and a repeated run), a pinned energy split,
+// scheduler energy ordering (FR-FCFS <= FCFS on the same stream), the
+// power-over-time timeline (windows sum exactly to the total) and its
+// OpenMetrics gauges, the successive-halving search (matches the
+// exhaustive optimum, byte-identical across thread counts, power-budget
+// feasibility), and regression tests for the derived-rate
 // edge cases (dram_row_hit_rate / goodput_per_mcycle on empty runs) plus
 // the OpenMetrics name-sanitization rules.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,11 +36,11 @@ namespace {
 // ---- Price table and quantization ------------------------------------------
 
 TEST(EnergyPrices, QuantizationAndActivation) {
-  EXPECT_EQ(energy::EnergyMeter::to_fj(0.0), 0u);
-  EXPECT_EQ(energy::EnergyMeter::to_fj(-3.0), 0u);
-  EXPECT_EQ(energy::EnergyMeter::to_fj(1.0), 1000u);
-  EXPECT_EQ(energy::EnergyMeter::to_fj(0.2), 200u);
-  EXPECT_EQ(energy::EnergyMeter::to_fj(600.0), 600000u);
+  EXPECT_EQ(energy::to_fj(0.0), 0u);
+  EXPECT_EQ(energy::to_fj(-3.0), 0u);
+  EXPECT_EQ(energy::to_fj(1.0), 1000u);
+  EXPECT_EQ(energy::to_fj(0.2), 200u);
+  EXPECT_EQ(energy::to_fj(600.0), 600000u);
 
   energy::EnergyConfig cfg;
   EXPECT_FALSE(cfg.active());  // disabled
@@ -57,6 +59,46 @@ TEST(EnergyPrices, NegativePricesRejected) {
   EXPECT_THROW(sim::Session::builder().energy(cfg).build(), ConfigError);
 }
 
+TEST(EnergyPrices, NonFiniteAndOverflowingPricesRejected) {
+  // Every price field, and static_mw, rejects values that are not finite or
+  // whose femtojoule quantization would not fit a uint64 rate; accepting
+  // them silently used to report garbage like 2^63 fJ.
+  double energy::EnergyPrices::*const fields[] = {
+      &energy::EnergyPrices::dram_act_pj,
+      &energy::EnergyPrices::dram_pre_pj,
+      &energy::EnergyPrices::dram_rd_pj,
+      &energy::EnergyPrices::dram_wr_pj,
+      &energy::EnergyPrices::dram_ref_pj,
+      &energy::EnergyPrices::dram_io_pj_per_byte,
+      &energy::EnergyPrices::exec_mac_pj,
+      &energy::EnergyPrices::dma_pj_per_byte,
+      &energy::EnergyPrices::sp_row_pj,
+      &energy::EnergyPrices::acc_row_pj,
+      &energy::EnergyPrices::static_mw};
+  const double hostile[] = {std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(), 1e17};
+  for (double energy::EnergyPrices::*const field : fields) {
+    for (const double v : hostile) {
+      energy::EnergyConfig cfg = energy::EnergyConfig::enabled_default();
+      cfg.prices.*field = v;
+      EXPECT_THROW(sim::Session::builder().energy(cfg).build(), ConfigError)
+          << v;
+      // A lone hostile price on an otherwise all-zero table is rejected
+      // too, although such a table would price nothing.
+      energy::EnergyConfig lone;
+      lone.enabled = true;
+      lone.prices.*field = v;
+      EXPECT_THROW(sim::Session::builder().energy(lone).build(), ConfigError)
+          << v;
+    }
+  }
+  // The largest quantizable price still builds.
+  energy::EnergyConfig edge = energy::EnergyConfig::enabled_default();
+  edge.prices.dram_act_pj = energy::kMaxPricePj;
+  EXPECT_NO_THROW(sim::Session::builder().energy(edge).build());
+}
+
 // ---- Zero-overhead-off: reports byte-identical -----------------------------
 
 TEST(EnergySession, ZeroPricesYieldByteIdenticalReport) {
@@ -64,7 +106,7 @@ TEST(EnergySession, ZeroPricesYieldByteIdenticalReport) {
   sim::Session off = sim::Session::builder().build();
   const sim::Report r_off = off.run(m);
 
-  // Enabled with an all-zero price table builds no meter at all.
+  // Enabled with an all-zero price table derives no energy at all.
   energy::EnergyConfig zero;
   zero.enabled = true;
   sim::Session on = sim::Session::builder().energy(zero).build();
@@ -113,10 +155,9 @@ TEST(EnergySession, GoldenCyclesInvariantUnderEnergyMetering) {
 }
 
 TEST(EnergySession, RunIdenticalApartFromEnergySection) {
-  // A full Session::run with the meter attached reproduces the
-  // energy-off report exactly once the energy section itself is blanked
-  // (metering is observational; the hidden metrics registry stays out of
-  // Report::metrics).
+  // A full Session::run with energy on reproduces the energy-off report
+  // exactly once the energy section itself is blanked (energy is derived
+  // from counts, and needs no metrics registry).
   const Model m = zoo::squeezenet_v11(48);
   sim::Session off = sim::Session::builder().build();
   sim::Report r_off = off.run(m);
@@ -127,7 +168,7 @@ TEST(EnergySession, RunIdenticalApartFromEnergySection) {
   sim::Report r_on = on.run(m);
 
   EXPECT_TRUE(on.energy_metering());
-  EXPECT_FALSE(on.metering());  // the backing registry stays hidden
+  EXPECT_FALSE(on.metering());  // energy alone builds no registry
   EXPECT_FALSE(r_on.metrics.enabled);
   EXPECT_TRUE(r_on.energy.enabled);
   EXPECT_GT(r_on.energy.total_fj, 0u);
@@ -139,15 +180,16 @@ TEST(EnergySession, RunIdenticalApartFromEnergySection) {
 // ---- Exact reconciliation ---------------------------------------------------
 
 TEST(EnergySession, CommandEnergyReconcilesWithSubstrateCounters) {
-  // rd == wr price lets the column-command energy be recomputed from the
-  // per-channel access counts alone; act/pre from row misses; io from
-  // bytes. Everything must match bit-exactly — integer fJ accounting.
+  // Distinct rd and wr prices split the column-command energy by the
+  // controller's per-channel write count; act/pre follow row misses, io
+  // bytes, ref refresh periods. Everything must match bit-exactly —
+  // integer fJ accounting.
   energy::EnergyConfig cfg;
   cfg.enabled = true;
   cfg.prices.dram_act_pj = 3.0;
   cfg.prices.dram_pre_pj = 2.0;
   cfg.prices.dram_rd_pj = 5.0;
-  cfg.prices.dram_wr_pj = 5.0;
+  cfg.prices.dram_wr_pj = 6.0;
   cfg.prices.dram_ref_pj = 7.0;
   cfg.prices.dram_io_pj_per_byte = 1.0;
   cfg.prices.exec_mac_pj = 0.2;
@@ -159,47 +201,102 @@ TEST(EnergySession, CommandEnergyReconcilesWithSubstrateCounters) {
   soc.mem.dram.refresh_interval = 7800;  // refresh is off by default
   soc.mem.dram.refresh_latency = 160;
   sim::Session s = sim::Session::builder(soc).energy(cfg).build();
+
+  const auto reconcile = [&s](const sim::Report& rep) {
+    ASSERT_TRUE(rep.energy.enabled);
+    const sim::EnergyReport& e = rep.energy;
+
+    std::uint64_t accesses = 0, row_misses = 0, bytes = 0;
+    for (const sim::DramChannelTraffic& ch : rep.substrate.dram_channels) {
+      accesses += ch.accesses;
+      row_misses += ch.row_misses;
+      bytes += ch.bytes;
+    }
+    std::uint64_t writes = 0, refresh_periods = 0;
+    for (const Dram::ChannelStats& cs :
+         s.soc().memory().dram().channel_stats()) {
+      writes += cs.writes;
+      refresh_periods += cs.refresh_periods;
+    }
+    ASSERT_GT(accesses, 0u);
+    ASSERT_GT(writes, 0u);
+    ASSERT_LT(writes, accesses);
+    ASSERT_GT(refresh_periods, 0u);
+    EXPECT_EQ(e.dram_act_fj, row_misses * 3000u);
+    EXPECT_EQ(e.dram_pre_fj, row_misses * 2000u);
+    EXPECT_EQ(e.dram_rd_fj, (accesses - writes) * 5000u);
+    EXPECT_EQ(e.dram_wr_fj, writes * 6000u);
+    EXPECT_EQ(e.dram_io_fj, bytes * 1000u);
+    EXPECT_EQ(e.dram_ref_fj, refresh_periods * 7000u);
+
+    // Per-kind and per-channel splits partition the same commands.
+    EXPECT_EQ(e.dram_fj, e.dram_act_fj + e.dram_pre_fj + e.dram_rd_fj +
+                             e.dram_wr_fj + e.dram_ref_fj + e.dram_io_fj);
+    std::uint64_t ch_sum = 0;
+    for (const std::uint64_t ch_fj : e.dram_channel_fj) ch_sum += ch_fj;
+    EXPECT_EQ(ch_sum, e.dram_fj);
+
+    // Core-side energy reconciles against the report's own activity
+    // counters, and the per-core split partitions the core-side total.
+    EXPECT_EQ(e.exec_fj, rep.per_core[0].accel.macs * 200u);
+    EXPECT_GT(e.dma_fj, 0u);
+    EXPECT_GT(e.sp_fj, 0u);
+    EXPECT_GT(e.acc_fj, 0u);
+    std::uint64_t core_sum = 0;
+    for (const std::uint64_t c : e.core_fj) core_sum += c;
+    EXPECT_EQ(core_sum, e.exec_fj + e.dma_fj + e.sp_fj + e.acc_fj);
+
+    // No static price configured: the total is pure activity energy.
+    EXPECT_EQ(e.static_fj, 0u);
+    EXPECT_EQ(e.total_fj,
+              e.dram_fj + e.exec_fj + e.dma_fj + e.sp_fj + e.acc_fj);
+    EXPECT_DOUBLE_EQ(e.total_j, static_cast<double>(e.total_fj) * 1e-15);
+    EXPECT_GT(e.avg_power_watts, 0.0);
+    EXPECT_GT(e.edp_joule_seconds, 0.0);
+  };
+
+  const sim::Report first = s.run(zoo::squeezenet_v11(48));
+  reconcile(first);
+  // A repeated run starts from warmer translation state and moves different
+  // traffic; its counts (and so its energy) must cover that run alone.
+  const sim::Report second = s.run(zoo::squeezenet_v11(48));
+  reconcile(second);
+  EXPECT_NE(second.energy.total_fj, first.energy.total_fj);
+}
+
+TEST(EnergySession, DefaultPricesPinnedOnContendedDram) {
+  // The whole energy split of one contended run, pinned: any change to
+  // what is counted, or to how counts are priced, moves one of these.
+  SocConfig soc;
+  soc.mem.dram.channels = 2;
+  soc.mem.dram.scheduler = DramScheduler::kFrFcfs;
+  soc.mem.dram.refresh_interval = 7800;
+  soc.mem.dram.refresh_latency = 160;
+  soc.mem.dram.write_queue_depth = 16;
+  soc.mem.dram.write_drain_floor = 4;
+  sim::Session s = sim::Session::builder(soc)
+                       .energy(energy::EnergyConfig::enabled_default())
+                       .build();
   const sim::Report rep = s.run(zoo::squeezenet_v11(48));
-  ASSERT_TRUE(rep.energy.enabled);
   const sim::EnergyReport& e = rep.energy;
+  ASSERT_TRUE(e.enabled);
+  EXPECT_EQ(rep.cycles, 1892364u);
 
-  std::uint64_t accesses = 0, row_misses = 0, bytes = 0;
-  for (const sim::DramChannelTraffic& ch : rep.substrate.dram_channels) {
-    accesses += ch.accesses;
-    row_misses += ch.row_misses;
-    bytes += ch.bytes;
-  }
-  ASSERT_GT(accesses, 0u);
-  EXPECT_EQ(e.dram_act_fj, row_misses * 3000u);
-  EXPECT_EQ(e.dram_pre_fj, row_misses * 2000u);
-  EXPECT_EQ(e.dram_rd_fj + e.dram_wr_fj, accesses * 5000u);
-  EXPECT_EQ(e.dram_io_fj, bytes * 1000u);
-  EXPECT_GT(e.dram_ref_fj, 0u);
+  EXPECT_EQ(e.dram_act_fj, 1744800000u);
+  EXPECT_EQ(e.dram_pre_fj, 1163200000u);
+  EXPECT_EQ(e.dram_rd_fj, 298550000u);
+  EXPECT_EQ(e.dram_wr_fj, 18552000u);
+  EXPECT_EQ(e.dram_ref_fj, 964000000u);
+  EXPECT_EQ(e.dram_io_fj, 10048320000u);
+  EXPECT_EQ(e.dram_channel_fj,
+            (std::vector<std::uint64_t>{7378250000u, 6859172000u}));
 
-  // Per-kind and per-channel splits partition the same commands.
-  EXPECT_EQ(e.dram_fj, e.dram_act_fj + e.dram_pre_fj + e.dram_rd_fj +
-                           e.dram_wr_fj + e.dram_ref_fj + e.dram_io_fj);
-  std::uint64_t ch_sum = 0;
-  for (const std::uint64_t ch_fj : e.dram_channel_fj) ch_sum += ch_fj;
-  EXPECT_EQ(ch_sum, e.dram_fj);
-
-  // Core-side energy reconciles against the report's own activity
-  // counters, and the per-core split partitions the core-side total.
-  EXPECT_EQ(e.exec_fj, rep.per_core[0].accel.macs * 200u);
-  EXPECT_GT(e.dma_fj, 0u);
-  EXPECT_GT(e.sp_fj, 0u);
-  EXPECT_GT(e.acc_fj, 0u);
-  std::uint64_t core_sum = 0;
-  for (const std::uint64_t c : e.core_fj) core_sum += c;
-  EXPECT_EQ(core_sum, e.exec_fj + e.dma_fj + e.sp_fj + e.acc_fj);
-
-  // No static price configured: the total is pure activity energy.
-  EXPECT_EQ(e.static_fj, 0u);
-  EXPECT_EQ(e.total_fj,
-            e.dram_fj + e.exec_fj + e.dma_fj + e.sp_fj + e.acc_fj);
-  EXPECT_DOUBLE_EQ(e.total_j, static_cast<double>(e.total_fj) * 1e-15);
-  EXPECT_GT(e.avg_power_watts, 0.0);
-  EXPECT_GT(e.edp_joule_seconds, 0.0);
+  EXPECT_EQ(e.exec_fj, 3165324800u);
+  EXPECT_EQ(e.dma_fj, 2186571000u);
+  EXPECT_EQ(e.sp_fj, 1193672000u);
+  EXPECT_EQ(e.acc_fj, 595584000u);
+  EXPECT_EQ(e.static_fj, 96889036800u);
+  EXPECT_EQ(e.total_fj, 118267610600u);
 }
 
 TEST(EnergySession, StaticPowerOverrideChargesPerCycle) {
@@ -278,12 +375,34 @@ TEST(EnergySession, AvgPowerGaugeRidesOpenMetricsExport) {
                        .build();
   const sim::Report rep = s.run(zoo::squeezenet_v11(48));
   ASSERT_TRUE(rep.energy.enabled);
+  const sim::EnergyReport& e = rep.energy;
   const std::string om = s.openmetrics();
-  EXPECT_NE(om.find("gemmini_energy_dram_act_fj_total "), std::string::npos);
-  EXPECT_NE(om.find("gemmini_energy_core0_exec_fj_total "),
-            std::string::npos);
-  EXPECT_NE(om.find("# TYPE gemmini_energy_avg_power_watts gauge\n"),
-            std::string::npos);
+
+  // The derived totals are gauges whose values are Report::energy's.
+  const auto gauge = [&om](const std::string& name) -> double {
+    const std::string type = "# TYPE gemmini_" + name + " gauge\n";
+    const std::size_t at = om.find(type);
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "no gauge " << name;
+      return -1.0;
+    }
+    const std::size_t value = om.find(' ', at + type.size()) + 1;
+    return std::stod(om.substr(value, om.find('\n', value) - value));
+  };
+  EXPECT_EQ(gauge("energy_dram_act_fj"), static_cast<double>(e.dram_act_fj));
+  EXPECT_EQ(gauge("energy_dram_wr_fj"), static_cast<double>(e.dram_wr_fj));
+  EXPECT_EQ(gauge("energy_dram_ch0_fj"),
+            static_cast<double>(e.dram_channel_fj.at(0)));
+  EXPECT_EQ(gauge("energy_exec_fj"), static_cast<double>(e.exec_fj));
+  EXPECT_EQ(gauge("energy_core0_fj"), static_cast<double>(e.core_fj.at(0)));
+  EXPECT_EQ(gauge("energy_static_fj"), static_cast<double>(e.static_fj));
+  EXPECT_EQ(gauge("energy_total_fj"), static_cast<double>(e.total_fj));
+  EXPECT_EQ(gauge("energy_avg_power_watts"), e.avg_power_watts);
+
+  // The counts energy is priced from are the counters.
+  EXPECT_NE(om.find("gemmini_dram_ch0_writes_total "), std::string::npos);
+  EXPECT_NE(om.find("gemmini_core0_sp_rows_total "), std::string::npos);
+  EXPECT_EQ(om.find("gemmini_energy_dram_act_fj_total"), std::string::npos);
 }
 
 // ---- Successive-halving search ----------------------------------------------
@@ -396,7 +515,7 @@ TEST(EnergySearch, PowerBudgetConstrainsFeasibility) {
 }
 
 TEST(EnergySearch, ConfigErrors) {
-  // Energy/EDP objectives and power budgets need the meter.
+  // Energy/EDP objectives and power budgets need energy prices.
   sim::Experiment no_energy;
   no_energy.model(zoo::squeezenet_v11(48)).dram_channels({1, 2});
   sim::SearchSpec spec;
