@@ -63,7 +63,9 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "src/base/stats.h"
 #include "src/core/gemmini.h"
 
 using namespace gemmini;
@@ -77,17 +79,35 @@ double now_ms() {
       .count();
 }
 
-/// Wall-clock of `fn` in milliseconds, best of `reps`.
-template <typename Fn>
-double time_ms(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    const double t0 = now_ms();
-    fn();
-    best = std::min(best, now_ms() - t0);
+/// Interleaved A/B wall clock: `pairs` rounds, each timing `a` then `b`
+/// back to back. Reports the median of each side and the median of the
+/// per-pair ratios b/a, so load that drifts over the run lands on both
+/// halves of a pair instead of skewing one side's samples.
+struct AbTiming {
+  double a_ms = 0.0;
+  double b_ms = 0.0;
+  double b_over_a = 0.0;
+};
+
+template <typename A, typename B>
+AbTiming time_ab_ms(int pairs, A&& a, B&& b) {
+  std::vector<double> ta, tb, ratio;
+  for (int i = 0; i < pairs; ++i) {
+    double t0 = now_ms();
+    a();
+    const double da = now_ms() - t0;
+    t0 = now_ms();
+    b();
+    const double db = now_ms() - t0;
+    ta.push_back(da);
+    tb.push_back(db);
+    ratio.push_back(db / da);
   }
-  return best;
+  return {percentile(ta, 50), percentile(tb, 50), percentile(ratio, 50)};
 }
+
+/// Pairs per kernel A/B (odd, so each median is one measured pair).
+constexpr int kKernelAbPairs = 7;
 
 /// One functional single-core session per measurement: every run starts
 /// from the exact cold state the seed simulator would see, so the cycle
@@ -124,20 +144,20 @@ Entry kernel_matmul_i8(std::size_t m, std::size_t k, std::size_t n) {
   std::vector<std::int32_t> bias(n);
   for (auto& v : bias) v = rng.next_range(-1000, 1000);
 
-  const double fast_ms = time_ms(3, [&] {
-    ref::gemm_i8(a, b, bias.data(), c_fast, 6, Activation::kRelu);
-  });
-  const double naive_ms = time_ms(3, [&] {
-    ref::gemm_i8_naive(a, b, bias.data(), c_naive, 6, Activation::kRelu);
-  });
+  const AbTiming t = time_ab_ms(
+      kKernelAbPairs,
+      [&] { ref::gemm_i8(a, b, bias.data(), c_fast, 6, Activation::kRelu); },
+      [&] {
+        ref::gemm_i8_naive(a, b, bias.data(), c_naive, 6, Activation::kRelu);
+      });
 
   Entry e;
   e.name = "kernel_matmul_i8_" + std::to_string(m);
-  e.wall_ms = fast_ms;
-  e.speedup_vs_naive = naive_ms / fast_ms;
+  e.wall_ms = t.a_ms;
+  e.speedup_vs_naive = t.b_over_a;
   e.match = c_fast == c_naive;
   std::printf("%-28s blocked %8.2f ms  naive %8.2f ms  speedup %6.2fx  %s\n",
-              e.name.c_str(), fast_ms, naive_ms, e.speedup_vs_naive,
+              e.name.c_str(), t.a_ms, t.b_ms, e.speedup_vs_naive,
               e.match ? "exact" : "MISMATCH");
   return e;
 }
@@ -148,20 +168,18 @@ Entry kernel_matmul_f32(std::size_t m, std::size_t k, std::size_t n) {
   a.randomize(rng);
   b.randomize(rng);
 
-  const double fast_ms = time_ms(3, [&] {
-    ref::gemm_f32(a, b, nullptr, c_fast, Activation::kNone);
-  });
-  const double naive_ms = time_ms(3, [&] {
-    ref::gemm_f32_naive(a, b, nullptr, c_naive, Activation::kNone);
-  });
+  const AbTiming t = time_ab_ms(
+      kKernelAbPairs,
+      [&] { ref::gemm_f32(a, b, nullptr, c_fast, Activation::kNone); },
+      [&] { ref::gemm_f32_naive(a, b, nullptr, c_naive, Activation::kNone); });
 
   Entry e;
   e.name = "kernel_matmul_f32_" + std::to_string(m);
-  e.wall_ms = fast_ms;
-  e.speedup_vs_naive = naive_ms / fast_ms;
+  e.wall_ms = t.a_ms;
+  e.speedup_vs_naive = t.b_over_a;
   e.match = c_fast == c_naive;
   std::printf("%-28s blocked %8.2f ms  naive %8.2f ms  speedup %6.2fx  %s\n",
-              e.name.c_str(), fast_ms, naive_ms, e.speedup_vs_naive,
+              e.name.c_str(), t.a_ms, t.b_ms, e.speedup_vs_naive,
               e.match ? "exact" : "MISMATCH");
   return e;
 }
@@ -1459,10 +1477,11 @@ int main(int argc, char** argv) {
   }
   for (const auto& e : entries) ok = ok && e.match;
   // The acceptance gate: the blocked int8 matmul kernel (the paper's
-  // inference pipeline) must beat the naive loops by >= 5x and stay
-  // bit-exact. The fp32 kernel is reported but not gated: its per-output
-  // serial FMA chain (required for bit-exact accumulation order) caps the
-  // achievable speedup near 3x.
+  // inference pipeline) must beat the naive loops by >= 5x, as the median
+  // of the interleaved per-pair ratios, and stay bit-exact. The fp32
+  // kernel is reported but not gated: its per-output serial FMA chain
+  // (required for bit-exact accumulation order) caps the achievable
+  // speedup near 3x.
   for (const auto& e : entries) {
     if (e.name.rfind("kernel_matmul_i8", 0) == 0 && e.speedup_vs_naive > 0 &&
         e.speedup_vs_naive < 5.0) {

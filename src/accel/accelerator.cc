@@ -44,14 +44,14 @@ void Accelerator::start(const Program* prog, const AddressSpace* as,
   as_ = as;
   pc_ = 0;
   prog_size_ = prog == nullptr ? 0 : prog->size();
+  if (prog_size_ != 0) next_ = (*prog)[0];
   start_at_ = std::max({t, ld_free_, ex_free_, st_free_});
 }
 
 Cycle Accelerator::next_issue_hint() const {
   if (done()) return kCycleMax;
-  const Instruction& inst = (*prog_)[pc_];
-  Cycle base = start_at_;
-  switch (inst.op) {
+  const Cycle base = start_at_;
+  switch (next_.op) {
     case Opcode::kMvin: return std::max(base, ld_free_);
     case Opcode::kMvout: return std::max(base, st_free_);
     case Opcode::kPreload:
@@ -76,9 +76,11 @@ void Accelerator::retire(Cycle start, Cycle end) {
 
 void Accelerator::step() {
   if (done()) return;
-  exec_one((*prog_)[pc_]);
+  exec_one(next_);
   ++pc_;
-  if (pc_ >= prog_size_) {
+  if (pc_ < prog_size_) {
+    next_ = (*prog_)[pc_];
+  } else {
     prog_ = nullptr;  // never dangle past the end of a program
     as_ = nullptr;
   }

@@ -137,10 +137,12 @@ class Accelerator {
   std::vector<Cycle> rob_;
   std::size_t rob_head_ = 0;
 
-  // Current program.
+  // Current program. `next_` is the command at `pc_`, decoded once when
+  // it becomes next to issue (the hint and the step both read it).
   const Program* prog_ = nullptr;
   const AddressSpace* as_ = nullptr;
   std::size_t pc_ = 0;
+  Instruction next_{};
   std::size_t prog_size_ = 0;
   Cycle start_at_ = 0;
 

@@ -57,6 +57,8 @@ Instruction make_config_ex(Dataflow df, Activation act, unsigned out_shift,
                            bool a_transpose) {
   GEMMINI_CHECK_MSG(df != Dataflow::kBoth,
                     "CONFIG_EX selects a concrete dataflow");
+  GEMMINI_CHECK_MSG(out_shift <= 0xFF, "CONFIG_EX out_shift " << out_shift
+                                           << " exceeds its 8-bit field");
   Instruction i;
   i.op = Opcode::kConfigEx;
   i.dataflow = df;
@@ -80,6 +82,8 @@ Instruction make_config_ld(std::uint64_t stride_bytes, float scale,
 
 Instruction make_config_st(std::uint64_t stride_bytes, unsigned pool_window,
                            unsigned pool_stride) {
+  GEMMINI_CHECK_MSG(pool_window <= 0xFFFF && pool_stride <= 0xFFFF,
+                    "CONFIG_ST pool window/stride exceed their 16-bit fields");
   Instruction i;
   i.op = Opcode::kConfigSt;
   i.stride_bytes = stride_bytes;
@@ -115,6 +119,8 @@ Instruction make_mvout(VAddr dram, LocalAddr src, unsigned rows,
 
 Instruction make_preload(LocalAddr b, LocalAddr c, unsigned b_rows,
                          unsigned b_cols, unsigned c_rows, unsigned c_cols) {
+  GEMMINI_CHECK(b_rows <= 0xFFFF && b_cols <= 0xFFFF && c_rows <= 0xFFFF &&
+                c_cols <= 0xFFFF);
   Instruction i;
   i.op = Opcode::kPreload;
   i.local = b;
@@ -129,6 +135,8 @@ Instruction make_preload(LocalAddr b, LocalAddr c, unsigned b_rows,
 Instruction make_compute(LocalAddr a, LocalAddr d, unsigned a_rows,
                          unsigned a_cols, unsigned d_rows, unsigned d_cols,
                          bool preloaded) {
+  GEMMINI_CHECK(a_rows <= 0xFFFF && a_cols <= 0xFFFF && d_rows <= 0xFFFF &&
+                d_cols <= 0xFFFF);
   Instruction i;
   i.op = preloaded ? Opcode::kComputePreloaded : Opcode::kComputeAccumulated;
   i.local = a;
@@ -156,6 +164,11 @@ RoccCommand encode(const Instruction& inst) {
   RoccCommand c;
   switch (inst.op) {
     case Opcode::kConfigEx: {
+      GEMMINI_CHECK_MSG(inst.dataflow != Dataflow::kBoth,
+                        "CONFIG_EX selects a concrete dataflow");
+      GEMMINI_CHECK_MSG(static_cast<unsigned>(inst.activation) <= 0x3,
+                        "activation " << unsigned(inst.activation)
+                                      << " exceeds its 2-bit field");
       c.funct = kFunctConfig;
       c.rs1 = kConfigEx |
               (static_cast<std::uint64_t>(
@@ -167,6 +180,7 @@ RoccCommand encode(const Instruction& inst) {
       break;
     }
     case Opcode::kConfigLd: {
+      GEMMINI_CHECK(inst.ld_channel < 3);
       c.funct = kFunctConfig;
       std::uint32_t scale_bits;
       std::memcpy(&scale_bits, &inst.ld_scale, sizeof(scale_bits));
@@ -186,6 +200,7 @@ RoccCommand encode(const Instruction& inst) {
       break;
     }
     case Opcode::kMvin: {
+      GEMMINI_CHECK(inst.ld_channel < 3);
       c.funct = inst.ld_channel == 0   ? kFunctMvin
                 : inst.ld_channel == 1 ? kFunctMvin2
                                        : kFunctMvin3;

@@ -2,9 +2,12 @@
 // Gemmini's RoCC-style ISA.
 //
 // The generated accelerator is driven by custom RISC-V instructions carrying
-// two 64-bit operands (rs1, rs2) plus a funct field. We model the decoded
-// form as a tagged struct for simulation speed, and provide encode()/decode()
-// to the packed RoCC format for fidelity (round-trip tested).
+// two 64-bit operands (rs1, rs2) plus a funct field. A Program stores exactly
+// that packed RoCC form (24 B per instruction); the accelerator decodes each
+// command once, at issue, into the tagged Instruction struct that the
+// builders, emission and execution work with. encode()/decode() convert
+// between the two losslessly: encode() rejects any field that does not fit
+// its slot instead of truncating it (round-trip tested).
 //
 // Local (scratchpad/accumulator) addresses follow the real encoding:
 //   bit 31: accumulator space
@@ -14,7 +17,10 @@
 //
 // MVIN/MVOUT rs2 packs (rows << 48) | (cols << 32) | local_addr.
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -106,6 +112,8 @@ struct Instruction {
   std::uint16_t pool_stride = 0;                    // CONFIG_ST
 
   std::string to_string() const;
+
+  bool operator==(const Instruction&) const = default;
 };
 
 /// Builder helpers — the runtime uses these to emit programs.
@@ -130,8 +138,6 @@ Instruction make_compute(LocalAddr a, LocalAddr d, unsigned a_rows,
 Instruction make_fence();
 Instruction make_flush();
 
-using Program = std::vector<Instruction>;
-
 /// Packed RoCC form: funct7-style selector plus two 64-bit register operands.
 struct RoccCommand {
   std::uint8_t funct = 0;
@@ -140,9 +146,68 @@ struct RoccCommand {
 };
 
 /// Encodes to / decodes from the packed RoCC format. Round-trip preserving
-/// for all instruction kinds (tested in tests/isa_test.cc).
+/// for all instruction kinds (tested in tests/isa_test.cc); encode() fails a
+/// GEMMINI_CHECK on a field its slot cannot hold.
 RoccCommand encode(const Instruction& inst);
 Instruction decode(const RoccCommand& cmd);
+
+/// An accelerator program, stored as the RoCC commands the host core would
+/// issue. push_back() encodes; indexing and iteration decode by value, so
+/// an element is a temporary: hold a copy, never a reference into it.
+class Program {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Instruction;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Instruction;
+
+    const_iterator() = default;
+    Instruction operator*() const { return decode(*it_); }
+    const_iterator& operator++() {
+      ++it_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator prev = *this;
+      ++it_;
+      return prev;
+    }
+    friend bool operator==(const const_iterator&,
+                           const const_iterator&) = default;
+
+   private:
+    friend class Program;
+    explicit const_iterator(std::vector<RoccCommand>::const_iterator it)
+        : it_(it) {}
+    std::vector<RoccCommand>::const_iterator it_{};
+  };
+
+  Program() = default;
+  Program(std::initializer_list<Instruction> insts) {
+    cmds_.reserve(insts.size());
+    for (const Instruction& i : insts) push_back(i);
+  }
+
+  void push_back(const Instruction& inst) { cmds_.push_back(encode(inst)); }
+  void append(const Program& other) {
+    cmds_.insert(cmds_.end(), other.cmds_.begin(), other.cmds_.end());
+  }
+  void pop_back() { cmds_.pop_back(); }
+  void reserve(std::size_t n) { cmds_.reserve(n); }
+
+  Instruction operator[](std::size_t i) const { return decode(cmds_[i]); }
+  Instruction back() const { return decode(cmds_.back()); }
+  std::size_t size() const { return cmds_.size(); }
+  bool empty() const { return cmds_.empty(); }
+  const_iterator begin() const { return const_iterator(cmds_.begin()); }
+  const_iterator end() const { return const_iterator(cmds_.end()); }
+
+ private:
+  std::vector<RoccCommand> cmds_;
+};
 
 /// Human-readable disassembly of a whole program.
 std::string disassemble(const Program& prog);

@@ -143,9 +143,21 @@ class Registry {
     return histograms_;
   }
 
+  /// Sets an end-of-run result gauge (e.g. the derived energy totals),
+  /// which snapshots and exports carry like any other gauge. Never cache a
+  /// handle to one: reset() removes it instead of zeroing it, so the next
+  /// run does not sample it as a timeline that run never produced.
+  void publish(const std::string& name, double value) {
+    gauges_[name].set(value);
+    published_.push_back(name);
+  }
+
   /// Zeroes every instrument *in place* — entries (and the pointers
   /// components cached) survive, so one Session can run many times.
+  /// Published result gauges are removed.
   void reset() {
+    for (const std::string& name : published_) gauges_.erase(name);
+    published_.clear();
     for (auto& [name, c] : counters_) c.reset();
     for (auto& [name, g] : gauges_) g.reset();
     for (auto& [name, h] : histograms_) h.reset();
@@ -169,6 +181,7 @@ class Registry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
+  std::vector<std::string> published_;
 };
 
 struct MetricsConfig {

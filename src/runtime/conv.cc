@@ -80,7 +80,7 @@ ConvPlan emit_depthwise_conv(const GemminiConfig& cfg, const ConvShape& shape,
     // overlap across channels, keep one final fence.
     GEMMINI_CHECK(!ch.empty() && ch.back().op == Opcode::kFence);
     ch.pop_back();
-    plan.program.insert(plan.program.end(), ch.begin(), ch.end());
+    plan.program.append(ch);
   }
   plan.program.push_back(make_fence());
   return plan;

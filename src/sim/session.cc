@@ -31,11 +31,11 @@ std::vector<LayerIntensity> plan_layer_intensity(const Plan& plan) {
   return out;
 }
 
-// Publishes the derived totals as "energy.*" gauges, so OpenMetrics exports
-// carry them without a Report in hand.
+// Publishes the derived totals as "energy.*" result gauges, so OpenMetrics
+// exports carry them without a Report in hand.
 void publish_energy(metrics::Registry& reg, const EnergyReport& e) {
   const auto set = [&reg](const std::string& name, std::uint64_t fj) {
-    reg.gauge(name).set(static_cast<double>(fj));
+    reg.publish(name, static_cast<double>(fj));
   };
   set("energy.dram.act_fj", e.dram_act_fj);
   set("energy.dram.pre_fj", e.dram_pre_fj);
@@ -55,7 +55,7 @@ void publish_energy(metrics::Registry& reg, const EnergyReport& e) {
   }
   set("energy.static_fj", e.static_fj);
   set("energy.total_fj", e.total_fj);
-  reg.gauge("energy.avg_power_watts").set(e.avg_power_watts);
+  reg.publish("energy.avg_power_watts", e.avg_power_watts);
 }
 
 }  // namespace

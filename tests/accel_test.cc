@@ -141,9 +141,8 @@ TEST(Controller, LoadComputeStoreOverlap) {
             make_mvout(va + (1 << 18), LocalAddr::acc_row(acc_base, false), 16,
                        16)};
   };
-  Program one = chain(0, 0, a);
-  one.insert(one.begin(), make_config_ld(16, 1.0f, 0));
-  one.insert(one.begin() + 1, make_config_st(16));
+  Program one{make_config_ld(16, 1.0f, 0), make_config_st(16)};
+  one.append(chain(0, 0, a));
   const Cycle t_one = h.accel.run(one, h.as);
 
   AccelHarness h2;
@@ -153,10 +152,8 @@ TEST(Controller, LoadComputeStoreOverlap) {
   // Use a *different* bank for the second chain so DMA and EX don't fight.
   const std::uint32_t other_bank =
       static_cast<std::uint32_t>(h2.config.sp_bank_rows());
-  Program c1 = chain(0, 0, a2);
-  Program c2 = chain(other_bank, 16, a2 + (1 << 16));
-  two.insert(two.end(), c1.begin(), c1.end());
-  two.insert(two.end(), c2.begin(), c2.end());
+  two.append(chain(0, 0, a2));
+  two.append(chain(other_bank, 16, a2 + (1 << 16)));
   const Cycle t_two = h2.accel.run(two, h2.as);
   EXPECT_LT(t_two, 2 * t_one);
 }

@@ -367,6 +367,35 @@ TEST(EnergySession, PowerTimelineWindowsSumToTotalEnergy) {
   }
 }
 
+TEST(EnergySession, RepeatedRunSamplesTheSameTimelines) {
+  // The energy totals are published as gauges after each run. A second run
+  // of the same session must not sample the first run's totals (zeroed by
+  // the run reset) as gauge timelines the first run never had.
+  sim::Session s = sim::Session::builder()
+                       .metrics(metrics::MetricsConfig::enabled_default())
+                       .energy(energy::EnergyConfig::enabled_default())
+                       .build();
+  const sim::Report first = s.run(zoo::squeezenet_v11(48));
+  const sim::Report second = s.run(zoo::squeezenet_v11(48));
+  const auto keys = [](const auto& map) {
+    std::vector<std::string> out;
+    for (const auto& [name, value] : map) out.push_back(name);
+    return out;
+  };
+  ASSERT_FALSE(first.metrics.gauge_timelines.empty());
+  EXPECT_EQ(keys(second.metrics.gauge_timelines),
+            keys(first.metrics.gauge_timelines));
+  EXPECT_EQ(keys(second.metrics.counter_timelines),
+            keys(first.metrics.counter_timelines));
+  for (const auto& [name, timeline] : second.metrics.gauge_timelines) {
+    EXPECT_NE(name.rfind("energy.", 0), 0u) << name;
+  }
+  // Both runs still publish the same set of totals, at their own values.
+  EXPECT_EQ(keys(second.metrics.gauges), keys(first.metrics.gauges));
+  EXPECT_EQ(second.metrics.gauges.at("energy.total_fj"),
+            static_cast<double>(second.energy.total_fj));
+}
+
 TEST(EnergySession, AvgPowerGaugeRidesOpenMetricsExport) {
   metrics::MetricsConfig mcfg = metrics::MetricsConfig::enabled_default();
   sim::Session s = sim::Session::builder()

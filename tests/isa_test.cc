@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/isa/isa.h"
 
 namespace gemmini {
@@ -31,6 +35,9 @@ TEST(LocalAddr, GarbageIsNeitherSpNorAcc) {
 }
 
 Instruction roundtrip(const Instruction& i) { return decode(encode(i)); }
+
+// A program stores one packed RoCC command per instruction.
+static_assert(sizeof(RoccCommand) == 24);
 
 TEST(RoccEncoding, MvinRoundTrip) {
   for (unsigned ch = 0; ch < 3; ++ch) {
@@ -148,6 +155,132 @@ TEST(Disassembly, ReadableOutput) {
 
 TEST(Builders, RejectInvalidArguments) {
   EXPECT_DEATH(make_config_ex(Dataflow::kBoth, Activation::kNone, 0), "");
+}
+
+// The stored program is the encoding, so a field its slot cannot hold must
+// fail loudly rather than be truncated.
+TEST(Builders, RejectOutShiftWiderThanItsField) {
+  EXPECT_EQ(make_config_ex(Dataflow::kWeightStationary, Activation::kNone, 255)
+                .out_shift,
+            255);
+  EXPECT_DEATH(
+      make_config_ex(Dataflow::kWeightStationary, Activation::kNone, 256),
+      "out_shift");
+}
+
+TEST(Builders, RejectPoolFieldsWiderThanTheirFields) {
+  EXPECT_EQ(make_config_st(64, 0xFFFF, 0xFFFF).pool_window, 0xFFFF);
+  EXPECT_DEATH(make_config_st(64, 0x10000, 1), "pool");
+  EXPECT_DEATH(make_config_st(64, 2, 0x10000), "pool");
+}
+
+TEST(Builders, RejectTileDimsWiderThanTheirFields) {
+  const LocalAddr sp = LocalAddr::sp_row(0);
+  const LocalAddr acc = LocalAddr::acc_row(0);
+  EXPECT_DEATH(make_preload(sp, acc, 0x10000, 16, 16, 16), "");
+  EXPECT_DEATH(make_preload(sp, acc, 16, 16, 16, 0x10000), "");
+  EXPECT_DEATH(make_compute(sp, acc, 16, 0x10000, 16, 16, true), "");
+  EXPECT_DEATH(make_compute(sp, acc, 16, 16, 0x10000, 16, false), "");
+}
+
+TEST(RoccEncoding, RejectActivationOutsideItsField) {
+  Instruction i =
+      make_config_ex(Dataflow::kWeightStationary, Activation::kRelu, 0);
+  i.activation = static_cast<Activation>(4);
+  EXPECT_DEATH(encode(i), "activation");
+  EXPECT_DEATH(Program{i}, "activation");
+}
+
+// One random instruction per opcode, every field drawn from its full legal
+// range through the builders.
+Instruction random_instruction(Rng& rng, Opcode op) {
+  const auto u16 = [&rng] {
+    return static_cast<unsigned>(rng.next_below(0x10000));
+  };
+  const auto local = [&rng]() -> LocalAddr {
+    switch (rng.next_below(4)) {
+      case 0: return LocalAddr::garbage();
+      case 1:
+        return LocalAddr::sp_row(static_cast<std::uint32_t>(rng.next_u64()));
+      default:
+        return LocalAddr::acc_row(static_cast<std::uint32_t>(rng.next_u64()),
+                                  rng.next_below(2) != 0);
+    }
+  };
+  const auto channel = [&rng] {
+    return static_cast<unsigned>(rng.next_below(3));
+  };
+  switch (op) {
+    case Opcode::kConfigEx:
+      return make_config_ex(
+          rng.next_below(2) ? Dataflow::kOutputStationary
+                            : Dataflow::kWeightStationary,
+          static_cast<Activation>(rng.next_below(3)),
+          static_cast<unsigned>(rng.next_below(256)), rng.next_below(2) != 0);
+    case Opcode::kConfigLd:
+      return make_config_ld(rng.next_u64(),
+                            static_cast<float>(rng.next_double() * 8 - 4),
+                            channel(), rng.next_below(2) != 0);
+    case Opcode::kConfigSt:
+      return make_config_st(rng.next_u64(), u16(), u16());
+    case Opcode::kMvin:
+      return make_mvin(rng.next_u64(), local(), u16(), u16(), channel());
+    case Opcode::kMvout:
+      return make_mvout(rng.next_u64(), local(), u16(), u16());
+    case Opcode::kPreload:
+      return make_preload(local(), local(), u16(), u16(), u16(), u16());
+    case Opcode::kComputePreloaded:
+    case Opcode::kComputeAccumulated:
+      return make_compute(local(), local(), u16(), u16(), u16(), u16(),
+                          op == Opcode::kComputePreloaded);
+    case Opcode::kFence: return make_fence();
+    case Opcode::kFlush: return make_flush();
+  }
+  return make_fence();
+}
+
+constexpr Opcode kAllOpcodes[] = {
+    Opcode::kConfigEx,         Opcode::kConfigLd, Opcode::kConfigSt,
+    Opcode::kMvin,             Opcode::kMvout,    Opcode::kPreload,
+    Opcode::kComputePreloaded, Opcode::kComputeAccumulated,
+    Opcode::kFence,            Opcode::kFlush};
+
+TEST(RoccEncoding, RandomRoundTripIsExactForEveryOpcode) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 2000; ++trial) {
+    for (const Opcode op : kAllOpcodes) {
+      const Instruction i = random_instruction(rng, op);
+      ASSERT_EQ(i.op, op);
+      ASSERT_EQ(roundtrip(i), i) << "trial " << trial << ": " << i.to_string();
+    }
+  }
+}
+
+TEST(ProgramStorage, IndexingAndIterationReturnWhatWasPushed) {
+  Rng rng(99);
+  std::vector<Instruction> pushed;
+  Program prog;
+  EXPECT_TRUE(prog.empty());
+  for (int n = 0; n < 500; ++n) {
+    const Instruction i = random_instruction(
+        rng, kAllOpcodes[rng.next_below(std::size(kAllOpcodes))]);
+    pushed.push_back(i);
+    prog.push_back(i);
+  }
+  ASSERT_EQ(prog.size(), pushed.size());
+  for (std::size_t n = 0; n < pushed.size(); ++n) {
+    EXPECT_EQ(prog[n], pushed[n]);
+  }
+  std::size_t n = 0;
+  for (const Instruction& i : prog) EXPECT_EQ(i, pushed[n++]);
+  EXPECT_EQ(n, pushed.size());
+  EXPECT_EQ(prog.back(), pushed.back());
+
+  Program tail{pushed[0], pushed[1]};
+  prog.append(tail);
+  prog.pop_back();
+  EXPECT_EQ(prog.size(), pushed.size() + 1);
+  EXPECT_EQ(prog.back(), pushed[0]);
 }
 
 }  // namespace
