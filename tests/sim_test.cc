@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "src/dnn/zoo.h"
 #include "src/model/lowering/pipeline.h"
 #include "src/sim/experiment.h"
@@ -316,6 +318,230 @@ TEST(SimExperiment, DramAxesExpandGridWithLabels) {
             DramScheduler::kFrFcfs);
   EXPECT_EQ(sweep.points()[3].config.mem.dram.interleave,
             DramInterleave::kXorFold);
+}
+
+// Golden point names, in point order, for every Experiment setter and for a
+// grid crossing the config, fault, tiling, serve and model axes. sweep()
+// only expands the grid, so no case here simulates anything.
+struct GridCase {
+  const char* what;
+  std::function<sim::Experiment()> make;
+  std::vector<std::string> names;
+};
+
+std::vector<std::string> point_names(const sim::Sweep& sweep) {
+  std::vector<std::string> names;
+  for (const sim::SweepPoint& p : sweep.points()) names.push_back(p.name);
+  return names;
+}
+
+llm::DecodeConfig golden_decode() {
+  llm::DecodeConfig c;
+  c.hidden = 64;
+  c.heads = 2;
+  c.ffn_mult = 2;
+  c.layers = 2;
+  c.prompt_tokens = 4;
+  c.decode_steps = 3;
+  return c;
+}
+
+serve::ServeSpec golden_serve() {
+  serve::ServeSpec spec;
+  spec.enabled = true;
+  return spec;
+}
+
+TEST(SimExperiment, GoldenPointNamesForEverySetter) {
+  const Model sq = zoo::squeezenet_v11(48);
+  const Model mb = zoo::mobilenet_v2(48);
+  auto exp = [&] { return sim::Experiment().model(sq); };
+  auto llm_exp = [] { return sim::Experiment().llm(golden_decode()); };
+  fault::FaultConfig ecc;
+  ecc.enabled = true;
+  ecc.name = "ecc";
+  fault::FaultConfig off;  // unnamed: labelled by its column index
+  SocConfig unnamed;
+  unnamed.name = "";
+
+  const std::vector<GridCase> cases = {
+      {"model list", [&] { return exp().model(mb); },
+       {"squeezenet_v1.1", "mobilenetv2"}},
+      {"models()", [&] { return sim::Experiment().models({mb, sq}); },
+       {"mobilenetv2", "squeezenet_v1.1"}},
+      {"geometries",
+       [&] { return exp().geometries({{16, 16, 1, 1}, {1, 16, 16, 1}}); },
+       {"g16x16x1x1/squeezenet_v1.1", "g1x16x16x1/squeezenet_v1.1"}},
+      {"scratchpad_sizes",
+       [&] { return exp().scratchpad_sizes({128u << 10, 1u << 20, 1000}); },
+       {"sp128K/squeezenet_v1.1", "sp1M/squeezenet_v1.1",
+        "sp1000B/squeezenet_v1.1"}},
+      {"l2_sizes", [&] { return exp().l2_sizes({512u << 10, 2u << 20}); },
+       {"l2512K/squeezenet_v1.1", "l22M/squeezenet_v1.1"}},
+      {"core_counts", [&] { return exp().core_counts({1, 2}); },
+       {"c1/squeezenet_v1.1", "c2/squeezenet_v1.1"}},
+      {"dram_channels", [&] { return exp().dram_channels({1, 4}); },
+       {"1ch/squeezenet_v1.1", "4ch/squeezenet_v1.1"}},
+      {"dram_schedulers",
+       [&] {
+         return exp().dram_schedulers(
+             {DramScheduler::kFrFcfs, DramScheduler::kFcfs});
+       },
+       {"frfcfs/squeezenet_v1.1", "fcfs/squeezenet_v1.1"}},
+      {"dram_interleaves",
+       [&] {
+         return exp().dram_interleaves(
+             {DramInterleave::kRow, DramInterleave::kCacheline});
+       },
+       {"il-row/squeezenet_v1.1", "il-line/squeezenet_v1.1"}},
+      {"configs",
+       [&] {
+         return exp().configs(
+             {SocConfig::base_1mb_l2(), SocConfig::big_sp(), unnamed});
+       },
+       {"Base/squeezenet_v1.1", "BigSP/squeezenet_v1.1", "squeezenet_v1.1"}},
+      {"placement_policies",
+       [&] {
+         return exp().placement_policies(
+             {std::make_shared<const lowering::DefaultPlacement>(),
+              std::make_shared<const lowering::CpuOnlyPlacement>()});
+       },
+       {"default/squeezenet_v1.1", "cpu-only/squeezenet_v1.1"}},
+      {"tiling_policies",
+       [&] {
+         return exp().tiling_policies(
+             {std::make_shared<const lowering::HeuristicTiling>(),
+              std::make_shared<const lowering::ExhaustiveTiling>()});
+       },
+       {"heuristic/squeezenet_v1.1", "exhaustive/squeezenet_v1.1"}},
+      {"fault_configs", [&] { return exp().fault_configs({ecc, off}); },
+       {"ecc/squeezenet_v1.1", "f1/squeezenet_v1.1"}},
+      {"serve", [&] { return exp().serve(golden_serve()); },
+       {"squeezenet_v1.1"}},
+      {"offered_loads",
+       [&] { return exp().serve(golden_serve()).offered_loads({2.5, 10}); },
+       {"load2.5/squeezenet_v1.1", "load10/squeezenet_v1.1"}},
+      {"serve_policies",
+       [&] {
+         return exp().serve(golden_serve()).serve_policies(
+             {serve::ServeConfig{},
+              serve::ServeConfig{serve::ServePolicy::kBatch, 4, 0, true}});
+       },
+       {"fifo/squeezenet_v1.1", "batch4/squeezenet_v1.1"}},
+      {"llm", llm_exp, {"llm-h64-l2-b1-t3-head-major"}},
+      {"llm_batches", [&] { return llm_exp().llm_batches({2, 1}); },
+       {"llm-h64-l2-b2-t3-head-major", "llm-h64-l2-b1-t3-head-major"}},
+      {"llm_kv_layouts",
+       [&] { return llm_exp().llm_kv_layouts({llm::KvLayout::kTokenMajor}); },
+       {"llm-h64-l2-b1-t3-token-major"}},
+      {"llm_decode_steps", [&] { return llm_exp().llm_decode_steps({3, 8}); },
+       {"llm-h64-l2-b1-t3-head-major", "llm-h64-l2-b1-t8-head-major"}},
+      {"llm_int4", [&] { return llm_exp().llm_int4({false, true}); },
+       {"llm-h64-l2-b1-t3-head-major", "llm-h64-l2-b1-t3-head-major-int4"}},
+      {"config axes in fixed order, whatever the call order",
+       [&] {
+         return exp()
+             .dram_interleaves({DramInterleave::kXorFold})
+             .dram_schedulers({DramScheduler::kFcfs})
+             .dram_channels({2})
+             .core_counts({2})
+             .l2_sizes({1u << 20})
+             .scratchpad_sizes({256u << 10, 512u << 10})
+             .geometries({{8, 8, 1, 1}});
+       },
+       {"g8x8x1x1-sp256K-l21M-c2-2ch-fcfs-il-xor/squeezenet_v1.1",
+        "g8x8x1x1-sp512K-l21M-c2-2ch-fcfs-il-xor/squeezenet_v1.1"}},
+      {"configs x faults x tiling x serve x models",
+       [&] {
+         return sim::Experiment()
+             .model(sq)
+             .model(mb)
+             .serve(golden_serve())
+             .offered_loads({1, 2})
+             .tiling_policies(
+                 {std::make_shared<const lowering::HeuristicTiling>()})
+             .fault_configs({off, ecc})
+             .configs({SocConfig::base_1mb_l2(), SocConfig::big_l2()});
+       },
+       {"Base-f0-heuristic-load1/squeezenet_v1.1",
+        "Base-f0-heuristic-load1/mobilenetv2",
+        "Base-f0-heuristic-load2/squeezenet_v1.1",
+        "Base-f0-heuristic-load2/mobilenetv2",
+        "Base-ecc-heuristic-load1/squeezenet_v1.1",
+        "Base-ecc-heuristic-load1/mobilenetv2",
+        "Base-ecc-heuristic-load2/squeezenet_v1.1",
+        "Base-ecc-heuristic-load2/mobilenetv2",
+        "BigL2-f0-heuristic-load1/squeezenet_v1.1",
+        "BigL2-f0-heuristic-load1/mobilenetv2",
+        "BigL2-f0-heuristic-load2/squeezenet_v1.1",
+        "BigL2-f0-heuristic-load2/mobilenetv2",
+        "BigL2-ecc-heuristic-load1/squeezenet_v1.1",
+        "BigL2-ecc-heuristic-load1/mobilenetv2",
+        "BigL2-ecc-heuristic-load2/squeezenet_v1.1",
+        "BigL2-ecc-heuristic-load2/mobilenetv2"}},
+      {"config axis x placement x llm axes",
+       [&] {
+         return llm_exp()
+             .llm_int4({false, true})
+             .llm_batches({1, 2})
+             .placement_policies(
+                 {std::make_shared<const lowering::DefaultPlacement>()})
+             .dram_channels({1, 2});
+       },
+       {"1ch-default/llm-h64-l2-b1-t3-head-major",
+        "1ch-default/llm-h64-l2-b1-t3-head-major-int4",
+        "1ch-default/llm-h64-l2-b2-t3-head-major",
+        "1ch-default/llm-h64-l2-b2-t3-head-major-int4",
+        "2ch-default/llm-h64-l2-b1-t3-head-major",
+        "2ch-default/llm-h64-l2-b1-t3-head-major-int4",
+        "2ch-default/llm-h64-l2-b2-t3-head-major",
+        "2ch-default/llm-h64-l2-b2-t3-head-major-int4"}},
+  };
+  for (const GridCase& c : cases) {
+    EXPECT_EQ(point_names(c.make().sweep()), c.names) << c.what;
+  }
+}
+
+TEST(SimExperiment, PerPointRulesFollowTheColumns) {
+  fault::FaultConfig ecc;
+  ecc.enabled = true;
+  ecc.name = "ecc";
+  fault::FaultConfig off;
+  off.name = "off";
+  serve::ServeSpec spec = golden_serve();
+  spec.default_deadline_cycles = 1234;
+  const sim::Sweep faults = sim::Experiment()
+                                .model(zoo::squeezenet_v11(48))
+                                .functional()
+                                .fault_configs({off, ecc})
+                                .fault_campaign(3)
+                                .sweep();
+  ASSERT_EQ(faults.size(), 2u);
+  EXPECT_EQ(faults.points()[0].campaign_runs, 0u);
+  EXPECT_EQ(faults.points()[1].campaign_runs, 3u);
+  EXPECT_TRUE(faults.points()[1].config.faults.enabled);
+
+  const sim::Sweep served = sim::Experiment()
+                                .model(zoo::squeezenet_v11(48))
+                                .model(zoo::mobilenet_v2(48))
+                                .serve(spec)
+                                .offered_loads({2.5})
+                                .sweep();
+  ASSERT_EQ(served.size(), 2u);
+  for (const sim::SweepPoint& p : served.points()) {
+    EXPECT_TRUE(p.serve.enabled);
+    EXPECT_EQ(p.serve.arrivals.requests_per_mcycle, 2.5);
+    ASSERT_EQ(p.serve.classes.size(), 1u);
+    EXPECT_EQ(p.serve.classes[0].name, p.model.name());
+    EXPECT_EQ(p.serve.classes[0].deadline_cycles, 1234u);
+  }
+
+  const sim::Sweep decode =
+      sim::Experiment().llm(golden_decode()).llm_decode_steps({5}).sweep();
+  ASSERT_EQ(decode.size(), 1u);
+  ASSERT_TRUE(decode.points()[0].llm.has_value());
+  EXPECT_EQ(decode.points()[0].llm->decode_steps, 5u);
+  EXPECT_EQ(decode.points()[0].model.name(), decode.points()[0].llm->label());
 }
 
 TEST(SimExperiment, DramAxesExclusiveWithExplicitConfigs) {
