@@ -24,6 +24,8 @@ Sweep& Sweep::add(std::string name, SocConfig config, Model model) {
 
 namespace {
 
+/// The one Session every run path builds for a point: `cfg` is the point's
+/// config, or a variant of it (a campaign's golden and seeded runs).
 Session build_session(const SweepPoint& point, const SocConfig& cfg,
                       bool with_trace) {
   return Session::builder(cfg)
@@ -35,6 +37,16 @@ Session build_session(const SweepPoint& point, const SocConfig& cfg,
       .metrics(point.metrics)
       .energy(point.energy)
       .build();
+}
+
+/// Writes a traced session's trace.json to the point's export path, if set.
+void export_trace(const SweepPoint& point, const Session& session) {
+  if (!session.tracing() || point.trace.export_path.empty()) return;
+  if (!session.write_trace(point.trace.export_path)) {
+    throw RuntimeError("sweep point '" + point.name +
+                       "': could not write trace to " +
+                       point.trace.export_path);
+  }
 }
 
 /// Fault campaign for one sweep point: a fault-free golden run supplies the
@@ -64,6 +76,7 @@ Report run_campaign(const SweepPoint& point) {
   Session golden = build_session(point, golden_cfg, /*with_trace=*/true);
   Report rep = golden.run(point.model);
   rep.point = point.name;
+  export_trace(point, golden);
 
   const LoweredModel& lowered = golden.last_lowered();
   std::vector<std::uint8_t> golden_out(lowered.layer_bytes.back());
@@ -144,54 +157,26 @@ Report error_report(const SweepPoint& point, std::string message) {
 }  // namespace
 
 Report Sweep::run_point(const SweepPoint& point) {
-  if (point.llm.has_value()) {
-    Session session = Session::builder(point.config)
-                          .functional(point.functional)
-                          .seed(point.seed)
-                          .trace(point.trace)
-                          .metrics(point.metrics)
-                          .energy(point.energy)
-                          .build();
-    Report rep = llm::run_decode(session, *point.llm);
-    rep.point = point.name;
-    if (session.tracing() && !point.trace.export_path.empty()) {
-      if (!session.write_trace(point.trace.export_path)) {
-        throw RuntimeError("sweep point '" + point.name +
-                           "': could not write trace to " +
-                           point.trace.export_path);
-      }
+  // An llm point always runs the decode stream; other points hand serving
+  // and campaigns to their own drivers. Every Session is build_session's.
+  if (!point.llm.has_value()) {
+    if (point.serve.enabled) {
+      serve::Server server(
+          point.config, point.serve,
+          serve::Server::Options{point.functional, point.seed, point.placement,
+                                 point.tiling, point.metrics});
+      Report rep = server.run();
+      rep.point = point.name;
+      return rep;
     }
-    return rep;
+    if (point.campaign_runs > 0) return run_campaign(point);
   }
-  if (point.serve.enabled) {
-    serve::Server server(
-        point.config, point.serve,
-        serve::Server::Options{point.functional, point.seed, point.placement,
-                               point.tiling, point.metrics});
-    Report rep = server.run();
-    rep.point = point.name;
-    return rep;
-  }
-  if (point.campaign_runs > 0) return run_campaign(point);
-  Session session = Session::builder(point.config)
-                        .functional(point.functional)
-                        .seed(point.seed)
-                        .placement(point.placement)
-                        .tiling(point.tiling)
-                        .trace(point.trace)
-                        .metrics(point.metrics)
-                        .energy(point.energy)
-                        .build();
-  Report rep = point.multicore ? session.run_multicore(point.model)
-                               : session.run(point.model);
+  Session session = build_session(point, point.config, /*with_trace=*/true);
+  Report rep = point.llm.has_value() ? llm::run_decode(session, *point.llm)
+               : point.multicore     ? session.run_multicore(point.model)
+                                     : session.run(point.model);
   rep.point = point.name;
-  if (session.tracing() && !point.trace.export_path.empty()) {
-    if (!session.write_trace(point.trace.export_path)) {
-      throw RuntimeError("sweep point '" + point.name +
-                         "': could not write trace to " +
-                         point.trace.export_path);
-    }
-  }
+  export_trace(point, session);
   return rep;
 }
 
@@ -292,114 +277,175 @@ std::string human_bytes(const char* prefix, std::uint64_t bytes) {
 
 }  // namespace
 
-Experiment::Experiment(SocConfig base) : base_(std::move(base)) {}
+// The prototype's model is a one-layer placeholder (Model has no empty
+// state); the model column or the llm proxy replaces it on every point.
+Experiment::Experiment(SocConfig base)
+    : proto_{.name = "",
+             .config = std::move(base),
+             .model = ModelBuilder("").input_matrix(1, 1).build()} {}
+
+template <typename T, typename MakeColumn>
+Experiment& Experiment::fill(Axis axis, std::vector<T> values,
+                             MakeColumn make) {
+  axes_[axis].clear();
+  for (auto&& v : values) axes_[axis].push_back(make(std::move(v)));
+  return *this;
+}
+
+bool Experiment::filled(Axis first, Axis last) const {
+  return std::any_of(axes_.begin() + first, axes_.begin() + last + 1,
+                     [](const std::vector<Column>& a) { return !a.empty(); });
+}
 
 Experiment& Experiment::model(Model m) {
-  models_.push_back(std::move(m));
+  axes_[kModels].push_back(
+      {"", [m = std::move(m)](SweepPoint& p) { p.model = m; }});
   return *this;
 }
 Experiment& Experiment::models(std::vector<Model> ms) {
-  for (Model& m : ms) models_.push_back(std::move(m));
+  for (Model& m : ms) model(std::move(m));
   return *this;
 }
 Experiment& Experiment::geometries(std::vector<SpatialArrayGeometry> gs) {
-  geometries_ = std::move(gs);
-  return *this;
+  return fill(kGeometry, std::move(gs), [](SpatialArrayGeometry g) {
+    std::ostringstream oss;
+    oss << "g" << g.mesh_rows << "x" << g.mesh_cols << "x" << g.tile_rows
+        << "x" << g.tile_cols;
+    return Column{oss.str(), [g](SweepPoint& p) { p.config.accel.array = g; }};
+  });
 }
 Experiment& Experiment::scratchpad_sizes(std::vector<std::uint64_t> bytes) {
-  sp_sizes_ = std::move(bytes);
-  return *this;
+  return fill(kScratchpad, std::move(bytes), [](std::uint64_t b) {
+    return Column{human_bytes("sp", b), [b](SweepPoint& p) {
+                    p.config.accel.sp_capacity_bytes = b;
+                  }};
+  });
 }
 Experiment& Experiment::l2_sizes(std::vector<std::uint64_t> bytes) {
-  l2_sizes_ = std::move(bytes);
-  return *this;
+  return fill(kL2, std::move(bytes), [](std::uint64_t b) {
+    return Column{human_bytes("l2", b),
+                  [b](SweepPoint& p) { p.config.mem.l2.size_bytes = b; }};
+  });
 }
 Experiment& Experiment::core_counts(std::vector<unsigned> cores) {
-  core_counts_ = std::move(cores);
-  return *this;
+  return fill(kCores, std::move(cores), [](unsigned c) {
+    return Column{"c" + std::to_string(c),
+                  [c](SweepPoint& p) { p.config.cores = c; }};
+  });
 }
 Experiment& Experiment::dram_channels(std::vector<unsigned> channels) {
-  dram_channels_ = std::move(channels);
-  return *this;
+  return fill(kDramChannels, std::move(channels), [](unsigned ch) {
+    return Column{std::to_string(ch) + "ch",
+                  [ch](SweepPoint& p) { p.config.mem.dram.channels = ch; }};
+  });
 }
 Experiment& Experiment::dram_schedulers(std::vector<DramScheduler> schedulers) {
-  dram_schedulers_ = std::move(schedulers);
-  return *this;
+  return fill(kDramScheduler, std::move(schedulers), [](DramScheduler s) {
+    return Column{dram_scheduler_name(s),
+                  [s](SweepPoint& p) { p.config.mem.dram.scheduler = s; }};
+  });
 }
 Experiment& Experiment::dram_interleaves(
     std::vector<DramInterleave> interleaves) {
-  dram_interleaves_ = std::move(interleaves);
-  return *this;
+  return fill(kDramInterleave, std::move(interleaves), [](DramInterleave il) {
+    return Column{std::string("il-") + dram_interleave_name(il),
+                  [il](SweepPoint& p) { p.config.mem.dram.interleave = il; }};
+  });
 }
 Experiment& Experiment::configs(std::vector<SocConfig> cfgs) {
-  explicit_configs_ = std::move(cfgs);
-  return *this;
+  return fill(kConfigs, std::move(cfgs), [](SocConfig c) {
+    std::string label = c.name;
+    return Column{std::move(label),
+                  [c = std::move(c)](SweepPoint& p) { p.config = c; }};
+  });
 }
 Experiment& Experiment::placement_policies(
     std::vector<std::shared_ptr<const lowering::PlacementPolicy>> ps) {
-  placement_policies_ = std::move(ps);
-  return *this;
+  return fill(kPlacement, std::move(ps), [](auto pp) {
+    return Column{pp->name(), [pp](SweepPoint& p) { p.placement = pp; }};
+  });
 }
 Experiment& Experiment::tiling_policies(
     std::vector<std::shared_ptr<const lowering::TilingPolicy>> ts) {
-  tiling_policies_ = std::move(ts);
-  return *this;
+  return fill(kTiling, std::move(ts), [](auto tp) {
+    return Column{tp->name(), [tp](SweepPoint& p) { p.tiling = tp; }};
+  });
 }
+// Each FaultConfig replaces the point's `faults` wholesale, so a disabled
+// entry doubles as a fault-free baseline column.
 Experiment& Experiment::fault_configs(std::vector<fault::FaultConfig> fcs) {
-  fault_configs_ = std::move(fcs);
-  return *this;
+  std::size_t i = 0;
+  return fill(kFaults, std::move(fcs), [&i](fault::FaultConfig fc) {
+    std::string label = fc.name.empty() ? "f" + std::to_string(i) : fc.name;
+    ++i;
+    return Column{std::move(label),
+                  [fc = std::move(fc)](SweepPoint& p) { p.config.faults = fc; }};
+  });
 }
 Experiment& Experiment::fault_campaign(unsigned runs) {
-  campaign_runs_ = runs;
+  proto_.campaign_runs = runs;
   return *this;
 }
 Experiment& Experiment::serve(serve::ServeSpec spec) {
-  serve_spec_ = std::move(spec);
-  serve_spec_.enabled = true;
+  proto_.serve = std::move(spec);
+  proto_.serve.enabled = true;
   return *this;
 }
 Experiment& Experiment::llm(llm::DecodeConfig base) {
-  llm_base_ = std::move(base);
+  proto_.llm = std::move(base);
   return *this;
 }
 Experiment& Experiment::llm_batches(std::vector<unsigned> batches) {
-  llm_batches_ = std::move(batches);
-  return *this;
+  return fill(kLlmBatch, std::move(batches), [](unsigned b) {
+    return Column{"", [b](SweepPoint& p) { p.llm->batch = b; }};
+  });
 }
 Experiment& Experiment::llm_kv_layouts(std::vector<llm::KvLayout> layouts) {
-  llm_layouts_ = std::move(layouts);
-  return *this;
+  return fill(kLlmLayout, std::move(layouts), [](llm::KvLayout l) {
+    return Column{"", [l](SweepPoint& p) { p.llm->kv_layout = l; }};
+  });
 }
 Experiment& Experiment::llm_decode_steps(std::vector<std::uint64_t> steps) {
-  llm_steps_ = std::move(steps);
-  return *this;
+  return fill(kLlmSteps, std::move(steps), [](std::uint64_t t) {
+    return Column{"", [t](SweepPoint& p) { p.llm->decode_steps = t; }};
+  });
 }
 Experiment& Experiment::llm_int4(std::vector<bool> int4) {
-  llm_int4_ = std::move(int4);
-  return *this;
+  return fill(kLlmInt4, std::move(int4), [](bool i4) {
+    return Column{"", [i4](SweepPoint& p) { p.llm->int4_weights = i4; }};
+  });
 }
 Experiment& Experiment::offered_loads(std::vector<double> loads) {
-  offered_loads_ = std::move(loads);
-  return *this;
+  return fill(kOfferedLoad, std::move(loads), [](double l) {
+    GEMMINI_CONFIG_REQUIRE(l > 0, "sim::Experiment: offered_loads entries "
+                                  "must be > 0 requests/Mcycle (got "
+                                      << l << ")");
+    std::ostringstream oss;
+    oss << "load" << l;
+    return Column{oss.str(), [l](SweepPoint& p) {
+                    p.serve.arrivals.requests_per_mcycle = l;
+                  }};
+  });
 }
 Experiment& Experiment::serve_policies(std::vector<serve::ServeConfig> policies) {
-  serve_policies_ = std::move(policies);
-  return *this;
+  return fill(kServePolicy, std::move(policies), [](serve::ServeConfig sc) {
+    return Column{sc.label(), [sc](SweepPoint& p) { p.serve.scheduler = sc; }};
+  });
 }
 Experiment& Experiment::strict(bool on) {
   strict_ = on;
   return *this;
 }
 Experiment& Experiment::multicore(bool on) {
-  multicore_ = on;
+  proto_.multicore = on;
   return *this;
 }
 Experiment& Experiment::functional(bool on) {
-  functional_ = on;
+  proto_.functional = on;
   return *this;
 }
 Experiment& Experiment::seed(std::uint64_t s) {
-  seed_ = s;
+  proto_.seed = s;
   return *this;
 }
 Experiment& Experiment::trace_point(std::string point_name,
@@ -410,317 +456,109 @@ Experiment& Experiment::trace_point(std::string point_name,
   return *this;
 }
 Experiment& Experiment::metrics(metrics::MetricsConfig cfg) {
-  metrics_cfg_ = std::move(cfg);
-  metrics_cfg_.enabled = true;
+  proto_.metrics = std::move(cfg);
+  proto_.metrics.enabled = true;
   return *this;
 }
 Experiment& Experiment::energy(energy::EnergyConfig cfg) {
-  energy_cfg_ = std::move(cfg);
-  energy_cfg_.enabled = true;
+  proto_.energy = std::move(cfg);
+  proto_.energy.enabled = true;
   return *this;
 }
 
 Sweep Experiment::sweep() const {
-  GEMMINI_CONFIG_REQUIRE(!models_.empty() || llm_base_.has_value(),
+  const bool decode = proto_.llm.has_value();
+  const bool serving = proto_.serve.enabled;
+  const unsigned campaign_runs = proto_.campaign_runs;
+  GEMMINI_CONFIG_REQUIRE(!axes_[kModels].empty() || decode,
                          "sim::Experiment: add at least one model (or llm())");
-  GEMMINI_CONFIG_REQUIRE(models_.empty() || !llm_base_.has_value(),
+  GEMMINI_CONFIG_REQUIRE(axes_[kModels].empty() || !decode,
                          "sim::Experiment: llm() replaces the model list; do "
                          "not combine it with model()/models()");
   GEMMINI_CONFIG_REQUIRE(
-      llm_base_.has_value() || (llm_batches_.empty() && llm_layouts_.empty() &&
-                                llm_steps_.empty() && llm_int4_.empty()),
+      decode || !filled(kLlmBatch, kLlmInt4),
       "sim::Experiment: llm_batches()/llm_kv_layouts()/llm_decode_steps()/"
       "llm_int4() need llm()");
-  if (llm_base_.has_value()) {
-    GEMMINI_CONFIG_REQUIRE(!serve_spec_.enabled && campaign_runs_ == 0 &&
-                               !multicore_,
+  if (decode) {
+    GEMMINI_CONFIG_REQUIRE(!serving && campaign_runs == 0 && !proto_.multicore,
                            "sim::Experiment: llm() is a single-core workload "
                            "and excludes serve() and fault_campaign()");
   }
   GEMMINI_CONFIG_REQUIRE(
-      explicit_configs_.empty() ||
-          (geometries_.empty() && sp_sizes_.empty() && l2_sizes_.empty() &&
-           core_counts_.empty() && dram_channels_.empty() &&
-           dram_schedulers_.empty() && dram_interleaves_.empty()),
+      axes_[kConfigs].empty() || !filled(kGeometry, kDramInterleave),
       "sim::Experiment: configs() cannot be combined with per-axis setters");
-
-  // Expand the config grid one axis at a time, tagging each variant with
-  // the axes that produced it.
-  struct Variant {
-    SocConfig cfg;
-    std::string label;
-  };
-  std::vector<Variant> variants;
-  if (!explicit_configs_.empty()) {
-    for (const SocConfig& cfg : explicit_configs_) {
-      variants.push_back({cfg, cfg.name});
-    }
-  } else {
-    variants.push_back({base_, ""});
-    auto expand = [&variants](auto&& apply, std::size_t count) {
-      if (count == 0) return;
-      std::vector<Variant> next;
-      next.reserve(variants.size() * count);
-      for (const Variant& v : variants) {
-        for (std::size_t i = 0; i < count; ++i) {
-          Variant nv = v;
-          const std::string part = apply(nv.cfg, i);
-          if (!nv.label.empty()) nv.label += "-";
-          nv.label += part;
-          next.push_back(std::move(nv));
-        }
-      }
-      variants = std::move(next);
-    };
-    expand(
-        [this](SocConfig& cfg, std::size_t i) {
-          const SpatialArrayGeometry& g = geometries_[i];
-          cfg.accel.array = g;
-          std::ostringstream oss;
-          oss << "g" << g.mesh_rows << "x" << g.mesh_cols << "x" << g.tile_rows
-              << "x" << g.tile_cols;
-          return oss.str();
-        },
-        geometries_.size());
-    expand(
-        [this](SocConfig& cfg, std::size_t i) {
-          cfg.accel.sp_capacity_bytes = sp_sizes_[i];
-          return human_bytes("sp", sp_sizes_[i]);
-        },
-        sp_sizes_.size());
-    expand(
-        [this](SocConfig& cfg, std::size_t i) {
-          cfg.mem.l2.size_bytes = l2_sizes_[i];
-          return human_bytes("l2", l2_sizes_[i]);
-        },
-        l2_sizes_.size());
-    expand(
-        [this](SocConfig& cfg, std::size_t i) {
-          cfg.cores = core_counts_[i];
-          std::string part = "c";
-          part += std::to_string(core_counts_[i]);
-          return part;
-        },
-        core_counts_.size());
-    expand(
-        [this](SocConfig& cfg, std::size_t i) {
-          cfg.mem.dram.channels = dram_channels_[i];
-          return std::to_string(dram_channels_[i]) + "ch";
-        },
-        dram_channels_.size());
-    expand(
-        [this](SocConfig& cfg, std::size_t i) {
-          cfg.mem.dram.scheduler = dram_schedulers_[i];
-          return std::string(dram_scheduler_name(dram_schedulers_[i]));
-        },
-        dram_schedulers_.size());
-    expand(
-        [this](SocConfig& cfg, std::size_t i) {
-          cfg.mem.dram.interleave = dram_interleaves_[i];
-          return std::string("il-") +
-                 dram_interleave_name(dram_interleaves_[i]);
-        },
-        dram_interleaves_.size());
-  }
-
-  // The fault-model axis composes with every config axis, including
-  // explicit configs: each FaultConfig replaces the variant's `faults`
-  // wholesale, so a disabled entry doubles as a fault-free baseline column.
-  if (!fault_configs_.empty()) {
-    std::vector<Variant> next;
-    next.reserve(variants.size() * fault_configs_.size());
-    for (const Variant& v : variants) {
-      for (std::size_t i = 0; i < fault_configs_.size(); ++i) {
-        Variant nv = v;
-        nv.cfg.faults = fault_configs_[i];
-        std::string part = fault_configs_[i].name.empty()
-                               ? "f" + std::to_string(i)
-                               : fault_configs_[i].name;
-        if (!nv.label.empty()) nv.label += "-";
-        nv.label += part;
-        next.push_back(std::move(nv));
-      }
-    }
-    variants = std::move(next);
-  }
-
-  if (campaign_runs_ > 0) {
-    GEMMINI_CONFIG_REQUIRE(functional_ && !multicore_,
+  if (campaign_runs > 0) {
+    GEMMINI_CONFIG_REQUIRE(proto_.functional && !proto_.multicore,
                            "sim::Experiment: fault_campaign() needs "
                            "functional() single-core points");
-    GEMMINI_CONFIG_REQUIRE(!serve_spec_.enabled,
+    GEMMINI_CONFIG_REQUIRE(!serving,
                            "sim::Experiment: fault_campaign() and serve() are "
                            "mutually exclusive (serving runs classify faulty "
                            "requests as error responses instead)");
   }
   GEMMINI_CONFIG_REQUIRE(
-      serve_spec_.enabled || (offered_loads_.empty() && serve_policies_.empty()),
+      serving || !filled(kOfferedLoad, kServePolicy),
       "sim::Experiment: offered_loads()/serve_policies() need serve()");
-  for (const double l : offered_loads_) {
-    GEMMINI_CONFIG_REQUIRE(l > 0, "sim::Experiment: offered_loads entries "
-                                  "must be > 0 requests/Mcycle (got "
-                                      << l << ")");
+
+  // One cartesian product over the filled axes: an odometer whose last
+  // axis turns fastest.
+  std::vector<const std::vector<Column>*> axes;
+  std::size_t points = 1;
+  for (const std::vector<Column>& axis : axes_) {
+    if (axis.empty()) continue;
+    axes.push_back(&axis);
+    points *= axis.size();
   }
-
-  // Serving axes: (offered load x scheduler policy), expanded around every
-  // config/policy column below. A single unlabeled column keeps the
-  // ServeSpec's own rate/scheduler when an axis is unset.
-  struct ServeVariant {
-    double load = 0;  ///< 0 = keep spec rate
-    serve::ServeConfig scheduler{};
-    std::string label;
-  };
-  std::vector<ServeVariant> serve_variants;
-  if (serve_spec_.enabled) {
-    std::vector<std::pair<double, std::string>> loads;
-    if (offered_loads_.empty()) {
-      loads.push_back({0.0, ""});
-    } else {
-      for (const double l : offered_loads_) {
-        std::ostringstream oss;
-        oss << "load" << l;
-        loads.push_back({l, oss.str()});
-      }
-    }
-    std::vector<std::pair<serve::ServeConfig, std::string>> pols;
-    if (serve_policies_.empty()) {
-      pols.push_back({serve_spec_.scheduler, ""});
-    } else {
-      for (const serve::ServeConfig& sc : serve_policies_) {
-        pols.push_back({sc, sc.label()});
-      }
-    }
-    for (const auto& [load, load_label] : loads) {
-      for (const auto& [sc, sc_label] : pols) {
-        ServeVariant sv;
-        sv.load = load;
-        sv.scheduler = sc;
-        sv.label = load_label;
-        if (!sc_label.empty()) {
-          if (!sv.label.empty()) sv.label += "-";
-          sv.label += sc_label;
-        }
-        serve_variants.push_back(std::move(sv));
-      }
-    }
-  } else {
-    serve_variants.push_back({});
-  }
-
-  // Workload list: either the explicit model list or the llm decode grid
-  // (batch x layout x steps x int4 around the llm() base config); an unset
-  // llm axis keeps the base value. The proxy model's name — the decode
-  // config's label — becomes the point's model label.
-  struct WorkloadItem {
-    Model model;
-    std::optional<llm::DecodeConfig> llm;
-  };
-  std::vector<WorkloadItem> workloads;
-  if (llm_base_.has_value()) {
-    const std::vector<unsigned> batches =
-        llm_batches_.empty() ? std::vector<unsigned>{llm_base_->batch}
-                             : llm_batches_;
-    const std::vector<llm::KvLayout> layouts =
-        llm_layouts_.empty() ? std::vector<llm::KvLayout>{llm_base_->kv_layout}
-                             : llm_layouts_;
-    const std::vector<std::uint64_t> steps =
-        llm_steps_.empty() ? std::vector<std::uint64_t>{llm_base_->decode_steps}
-                           : llm_steps_;
-    const std::vector<bool> int4s =
-        llm_int4_.empty() ? std::vector<bool>{llm_base_->int4_weights}
-                          : llm_int4_;
-    for (const unsigned b : batches) {
-      for (const llm::KvLayout layout : layouts) {
-        for (const std::uint64_t t : steps) {
-          for (const bool i4 : int4s) {
-            llm::DecodeConfig c = *llm_base_;
-            c.batch = b;
-            c.kv_layout = layout;
-            c.decode_steps = t;
-            c.int4_weights = i4;
-            c.validate();
-            workloads.push_back({llm::proxy_model(c), std::move(c)});
-          }
-        }
-      }
-    }
-  } else {
-    for (const Model& m : models_) workloads.push_back({m, std::nullopt});
-  }
-
-  // The lowering-policy axes compose with every config axis (they are
-  // orthogonal to the SocConfig, so they combine with explicit configs
-  // too). An unset axis contributes one "default" column with no label.
-  using PlacementPtr = std::shared_ptr<const lowering::PlacementPolicy>;
-  using TilingPtr = std::shared_ptr<const lowering::TilingPolicy>;
-  const std::vector<PlacementPtr> placements =
-      placement_policies_.empty() ? std::vector<PlacementPtr>{nullptr}
-                                  : placement_policies_;
-  const std::vector<TilingPtr> tilings =
-      tiling_policies_.empty() ? std::vector<TilingPtr>{nullptr}
-                               : tiling_policies_;
-
+  std::vector<std::size_t> at(axes.size(), 0);
+  unsigned traced = 0;
   Sweep sw;
-  for (const Variant& v : variants) {
-    for (const PlacementPtr& pp : placements) {
-      for (const TilingPtr& tp : tilings) {
-        std::string label = v.label;
-        for (const std::string& part :
-             {pp ? pp->name() : std::string{}, tp ? tp->name() : std::string{}}) {
-          if (part.empty()) continue;
-          if (!label.empty()) label += "-";
-          label += part;
-        }
-        for (const ServeVariant& sv : serve_variants) {
-          std::string serve_label = label;
-          if (!sv.label.empty()) {
-            if (!serve_label.empty()) serve_label += "-";
-            serve_label += sv.label;
-          }
-          for (const WorkloadItem& w : workloads) {
-            const Model& m = w.model;
-            SweepPoint p{.name = serve_label.empty()
-                                     ? m.name()
-                                     : serve_label + "/" + m.name(),
-                         .config = v.cfg,
-                         .model = m,
-                         .multicore = multicore_,
-                         .functional = functional_,
-                         .seed = seed_,
-                         .placement = pp,
-                         .tiling = tp,
-                         .llm = w.llm,
-                         .metrics = metrics_cfg_,
-                         .energy = energy_cfg_};
-            if (!trace_point_name_.empty() && p.name == trace_point_name_) {
-              p.trace = trace_cfg_;
-            }
-            // Campaigns only make sense for fault-enabled points; a baseline
-            // column in the faults axis runs once, normally.
-            if (v.cfg.faults.enabled) p.campaign_runs = campaign_runs_;
-            if (serve_spec_.enabled) {
-              serve::ServeSpec sp = serve_spec_;
-              if (sv.load > 0) sp.arrivals.requests_per_mcycle = sv.load;
-              sp.scheduler = sv.scheduler;
-              if (sp.classes.empty()) {
-                sp.classes.push_back(serve::RequestClass{
-                    m.name(), m, 1.0, sp.default_deadline_cycles});
-              }
-              p.serve = std::move(sp);
-            }
-            sw.add(std::move(p));
-          }
-        }
-      }
+  for (std::size_t n = 0; n < points; ++n) {
+    SweepPoint p = proto_;
+    std::string label;
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+      const Column& col = (*axes[a])[at[a]];
+      col.apply(p);
+      if (col.label.empty()) continue;
+      if (!label.empty()) label += "-";
+      label += col.label;
     }
+    for (std::size_t a = axes.size(); a-- > 0;) {
+      if (++at[a] < axes[a]->size()) break;
+      at[a] = 0;
+    }
+
+    // Per-point rules, once the columns have set everything they vary.
+    if (p.llm.has_value()) {
+      p.llm->validate();
+      p.model = llm::proxy_model(*p.llm);
+    }
+    p.name = label.empty() ? p.model.name() : label + "/" + p.model.name();
+    if (p.serve.enabled && p.serve.classes.empty()) {
+      p.serve.classes.push_back(serve::RequestClass{
+          p.model.name(), p.model, 1.0, p.serve.default_deadline_cycles});
+    }
+    // Campaigns only make sense for fault-enabled points; a baseline column
+    // in the faults axis runs once, normally.
+    if (!p.config.faults.enabled) p.campaign_runs = 0;
+    if (!trace_point_name_.empty() && p.name == trace_point_name_) {
+      GEMMINI_CONFIG_REQUIRE(!p.serve.enabled,
+                             "sim::Experiment: trace_point '" +
+                                 trace_point_name_ +
+                                 "' matches a serve() point, and serving "
+                                 "runs are not traced");
+      ++traced;
+      GEMMINI_CONFIG_REQUIRE(traced == 1,
+                             "sim::Experiment: trace_point '" +
+                                 trace_point_name_ +
+                                 "' matches more than one sweep point");
+      p.trace = trace_cfg_;
+    }
+    sw.add(std::move(p));
   }
-  if (!trace_point_name_.empty()) {
-    bool found = false;
-    for (const SweepPoint& p : sw.points()) found |= p.trace.enabled;
-    GEMMINI_CONFIG_REQUIRE(found, "sim::Experiment: trace_point '" +
-                                      trace_point_name_ +
-                                      "' matches no sweep point");
-  }
+  GEMMINI_CONFIG_REQUIRE(
+      trace_point_name_.empty() || traced == 1,
+      "sim::Experiment: trace_point '" + trace_point_name_ +
+          "' matches no sweep point");
   return sw;
 }
 
@@ -775,7 +613,7 @@ SearchResult Experiment::search(const SearchSpec& spec) const {
   const bool needs_energy = spec.objective != SearchSpec::Objective::kCycles ||
                             spec.power_budget_watts > 0;
   GEMMINI_CONFIG_REQUIRE(
-      !needs_energy || energy_cfg_.active(),
+      !needs_energy || proto_.energy.active(),
       "sim::Experiment::search: an energy/EDP objective or a power budget "
       "needs energy prices; call .energy() with nonzero prices first");
 

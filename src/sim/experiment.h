@@ -16,8 +16,21 @@
 //   std::vector<sim::Report> reports = sweep.run({.threads = 8});
 //
 // Experiment is the grid builder on top: give it a base SocConfig plus the
-// axes to vary (array geometry, scratchpad size, L2 size, core count, model
-// list) and it emits the cartesian-product Sweep with stable point names.
+// axes to vary and it emits the cartesian-product Sweep with stable point
+// names. The axes have a fixed product order, whatever order the setters are
+// called in (the first varies slowest):
+//
+//   configs(), or geometries -> scratchpad_sizes -> l2_sizes -> core_counts
+//     -> dram_channels -> dram_schedulers -> dram_interleaves
+//   -> fault_configs -> placement_policies -> tiling_policies
+//   -> offered_loads -> serve_policies
+//   -> model()/models(), or llm_batches -> llm_kv_layouts
+//     -> llm_decode_steps -> llm_int4
+//
+// A point's name is the non-empty labels of its columns joined by "-", then
+// "/" and the model name (the model name alone when no column has a label).
+// Model and llm columns carry no label; an llm point's model name is its
+// DecodeConfig::label().
 //
 //   auto reports = sim::Experiment(SocConfig::base_1mb_l2())
 //                      .geometries({{16, 16, 1, 1}, {1, 16, 16, 1}})
@@ -25,7 +38,9 @@
 //                      .models(zoo::all_paper_models_scaled())
 //                      .run();
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -60,7 +75,8 @@ struct SweepPoint {
   /// Cycle-level tracing for this point (disabled by default — tracing a
   /// whole grid would be enormous; see Experiment::trace_point). When
   /// enabled, the point's Report carries the bottleneck table and, if
-  /// `trace.export_path` is set, the Perfetto trace.json is written there.
+  /// `trace.export_path` is set, the Perfetto trace.json is written there
+  /// (a campaign point traces its golden run; serve points are not traced).
   trace::TraceConfig trace{};
   /// Fault campaign: > 0 reruns the point N times with fault seeds
   /// base+0..base+N-1, classifies each run against a fault-free golden run
@@ -202,9 +218,10 @@ struct SearchResult {
   std::size_t evaluations = 0;
 };
 
-/// Cartesian-product grid builder over the template's main design axes.
-/// Unset axes stay at the base config's value. Point names encode only the
-/// axes that vary, so reports stay readable at any grid size.
+/// Cartesian-product grid builder (see the axis order and the naming rule
+/// at the top of this file). Each axis setter fills one slot of a fixed
+/// table of axes; an unset axis leaves every point at the base value and
+/// adds nothing to point names, so names stay readable at any grid size.
 class Experiment {
  public:
   explicit Experiment(SocConfig base = SocConfig{});
@@ -280,7 +297,9 @@ class Experiment {
   /// Traces exactly one sweep point (cycle-level events + bottleneck table
   /// in its Report, trace.json at `cfg.export_path` if set). `point_name`
   /// must match the point's final label — the same string reports carry in
-  /// Report::point; sweep() throws if no point matches.
+  /// Report::point. sweep() throws ConfigError unless exactly one point
+  /// matches, and when that point is a serve() point (serving runs are not
+  /// traced).
   Experiment& trace_point(std::string point_name,
                           trace::TraceConfig cfg =
                               trace::TraceConfig::enabled_default());
@@ -296,7 +315,8 @@ class Experiment {
   Experiment& energy(energy::EnergyConfig cfg =
                          energy::EnergyConfig::enabled_default());
 
-  /// Expands the grid into a Sweep (configs x models, in axis order).
+  /// Expands the grid into a Sweep: the cartesian product of the filled
+  /// axes, in the fixed axis order.
   Sweep sweep() const;
   /// sweep().run(opts).
   std::vector<Report> run(const SweepOptions& opts = {}) const;
@@ -310,37 +330,35 @@ class Experiment {
   SearchResult search(const SearchSpec& spec = {}) const;
 
  private:
-  SocConfig base_;
-  std::vector<Model> models_;
-  std::vector<SpatialArrayGeometry> geometries_;
-  std::vector<std::uint64_t> sp_sizes_;
-  std::vector<std::uint64_t> l2_sizes_;
-  std::vector<unsigned> core_counts_;
-  std::vector<unsigned> dram_channels_;
-  std::vector<DramScheduler> dram_schedulers_;
-  std::vector<DramInterleave> dram_interleaves_;
-  std::vector<SocConfig> explicit_configs_;
-  std::vector<std::shared_ptr<const lowering::PlacementPolicy>>
-      placement_policies_;
-  std::vector<std::shared_ptr<const lowering::TilingPolicy>> tiling_policies_;
-  std::vector<fault::FaultConfig> fault_configs_;
-  serve::ServeSpec serve_spec_{};
-  std::vector<double> offered_loads_;
-  std::vector<serve::ServeConfig> serve_policies_;
-  std::optional<llm::DecodeConfig> llm_base_;
-  std::vector<unsigned> llm_batches_;
-  std::vector<llm::KvLayout> llm_layouts_;
-  std::vector<std::uint64_t> llm_steps_;
-  std::vector<bool> llm_int4_;
-  unsigned campaign_runs_ = 0;
+  /// One grid column: the label it adds to point names ("" adds none) and
+  /// the edit it makes to the point.
+  struct Column {
+    std::string label;
+    std::function<void(SweepPoint&)> apply;
+  };
+  /// The axes, in product order.
+  enum Axis : std::size_t {
+    kConfigs, kGeometry, kScratchpad, kL2, kCores,             // config
+    kDramChannels, kDramScheduler, kDramInterleave,            // config
+    kFaults, kPlacement, kTiling, kOfferedLoad, kServePolicy,  // scenario
+    kModels, kLlmBatch, kLlmLayout, kLlmSteps, kLlmInt4,       // workload
+    kAxisCount
+  };
+
+  /// Replaces axis `axis` with one column per value, made by `make`.
+  template <typename T, typename MakeColumn>
+  Experiment& fill(Axis axis, std::vector<T> values, MakeColumn make);
+  /// True when any axis in [first, last] has a column.
+  bool filled(Axis first, Axis last) const;
+
+  /// Every point starts as a copy of this one (base config, run mode, seed,
+  /// serve spec, llm base, campaign runs, metrics, energy) before the
+  /// columns edit it.
+  SweepPoint proto_;
+  std::array<std::vector<Column>, kAxisCount> axes_;
   bool strict_ = false;
-  bool multicore_ = false;
-  bool functional_ = false;
-  std::uint64_t seed_ = 1;
   std::string trace_point_name_;
   trace::TraceConfig trace_cfg_{};
-  metrics::MetricsConfig metrics_cfg_{};
-  energy::EnergyConfig energy_cfg_{};
 };
 
 }  // namespace gemmini::sim

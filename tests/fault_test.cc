@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -433,6 +436,32 @@ TEST(FaultCampaign, ByteIdenticalAcrossRepeatsAndThreadCounts) {
   EXPECT_EQ(first, run_with(1));  // repeatable
   EXPECT_EQ(first, run_with(2));  // thread-count independent
   EXPECT_EQ(first, run_with(4));
+}
+
+TEST(FaultCampaign, TracePointExportsTheGoldenRun) {
+  // A campaign point traces its fault-free golden run; with an export path
+  // set, that trace must land on disk like any other traced point's.
+  trace::TraceConfig tc = trace::TraceConfig::enabled_default();
+  tc.export_path = "fault_campaign_trace.json";
+  std::remove(tc.export_path.c_str());
+  const std::vector<sim::Report> reports =
+      sim::Experiment(SocConfig{})
+          .model(tiny_model())
+          .functional()
+          .fault_configs({ecc_single_bit()})
+          .fault_campaign(2)
+          .trace_point("ecc1b/fault-tiny", tc)
+          .run({.threads = 1});
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].status, "ok") << reports[0].error;
+  EXPECT_FALSE(reports[0].bottlenecks.empty());
+  std::ifstream in(tc.export_path);
+  ASSERT_TRUE(in.good()) << "campaign point wrote no trace";
+  std::ostringstream json;
+  json << in.rdbuf();
+  EXPECT_NE(json.str().find("traceEvents"), std::string::npos);
+  in.close();
+  std::remove(tc.export_path.c_str());
 }
 
 TEST(FaultCampaign, RequiresFunctionalSingleCore) {

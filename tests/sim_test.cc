@@ -544,6 +544,51 @@ TEST(SimExperiment, PerPointRulesFollowTheColumns) {
   EXPECT_EQ(decode.points()[0].model.name(), decode.points()[0].llm->label());
 }
 
+std::string sweep_error(const sim::Experiment& exp) {
+  try {
+    exp.sweep();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SimExperiment, TracePointMustSelectExactlyOnePoint) {
+  const Model sq = zoo::squeezenet_v11(48);
+  // Two equal columns make two points with one name: both would trace and
+  // write the same export path from different workers.
+  const std::string twice =
+      sweep_error(sim::Experiment()
+                      .model(sq)
+                      .scratchpad_sizes({256u << 10, 256u << 10})
+                      .trace_point("sp256K/squeezenet_v1.1"));
+  EXPECT_NE(twice.find("more than one"), std::string::npos) << twice;
+  const std::string none = sweep_error(
+      sim::Experiment().model(sq).trace_point("sp256K/squeezenet_v1.1"));
+  EXPECT_NE(none.find("matches no sweep point"), std::string::npos) << none;
+
+  const sim::Sweep one = sim::Experiment()
+                             .model(sq)
+                             .scratchpad_sizes({128u << 10, 256u << 10})
+                             .trace_point("sp256K/squeezenet_v1.1")
+                             .sweep();
+  ASSERT_EQ(one.size(), 2u);
+  EXPECT_FALSE(one.points()[0].trace.enabled);
+  EXPECT_TRUE(one.points()[1].trace.enabled);
+}
+
+TEST(SimExperiment, TracePointRejectsServePoints) {
+  // serve::Server never reads SweepPoint::trace, so a traced serve point
+  // would silently produce no trace.
+  const std::string err =
+      sweep_error(sim::Experiment()
+                      .model(zoo::squeezenet_v11(48))
+                      .serve(golden_serve())
+                      .offered_loads({1, 2})
+                      .trace_point("load2/squeezenet_v1.1"));
+  EXPECT_NE(err.find("serve"), std::string::npos) << err;
+}
+
 TEST(SimExperiment, DramAxesExclusiveWithExplicitConfigs) {
   sim::Experiment exp;
   exp.configs({SocConfig::base_1mb_l2()})
