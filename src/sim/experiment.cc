@@ -292,11 +292,6 @@ Experiment& Experiment::fill(Axis axis, std::vector<T> values,
   return *this;
 }
 
-bool Experiment::filled(Axis first, Axis last) const {
-  return std::any_of(axes_.begin() + first, axes_.begin() + last + 1,
-                     [](const std::vector<Column>& a) { return !a.empty(); });
-}
-
 Experiment& Experiment::model(Model m) {
   axes_[kModels].push_back(
       {"", [m = std::move(m)](SweepPoint& p) { p.model = m; }});
@@ -467,6 +462,11 @@ Experiment& Experiment::energy(energy::EnergyConfig cfg) {
 }
 
 Sweep Experiment::sweep() const {
+  // True when any axis in [first, last] has a column.
+  auto filled = [this](Axis first, Axis last) {
+    return std::any_of(axes_.begin() + first, axes_.begin() + last + 1,
+                       [](const auto& axis) { return !axis.empty(); });
+  };
   const bool decode = proto_.llm.has_value();
   const bool serving = proto_.serve.enabled;
   const unsigned campaign_runs = proto_.campaign_runs;

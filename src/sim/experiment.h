@@ -348,8 +348,6 @@ class Experiment {
   /// Replaces axis `axis` with one column per value, made by `make`.
   template <typename T, typename MakeColumn>
   Experiment& fill(Axis axis, std::vector<T> values, MakeColumn make);
-  /// True when any axis in [first, last] has a column.
-  bool filled(Axis first, Axis last) const;
 
   /// Every point starts as a copy of this one (base config, run mode, seed,
   /// serve spec, llm base, campaign runs, metrics, energy) before the
