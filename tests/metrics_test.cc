@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "src/base/rng.h"
 #include "src/base/tensor.h"
 #include "src/dnn/zoo.h"
+#include "src/energy/energy.h"
 #include "src/llm/decode.h"
 #include "src/metrics/metrics.h"
 #include "src/metrics/openmetrics.h"
@@ -476,6 +478,152 @@ TEST(MetricsLlm, KvBytesGaugeTimelineIsNonDecreasing) {
   }
   EXPECT_DOUBLE_EQ(timeline.back(),
                    static_cast<double>(rep.llm.kv_cache_bytes));
+}
+
+// ---- Golden metrics-on outputs ----------------------------------------------
+//
+// Byte-exact pins of everything a metered Session exports: the Report JSON,
+// the OpenMetrics text and the Perfetto counter tracks, each as a 64-bit
+// FNV-1a hash plus its length. Tracing is on only to reach the counter
+// tracks (they ride trace_json); like metrics it is observational. Any
+// change to how counts reach the registry — which names exist, when a
+// lazily created counter first appears, which window a late count lands
+// in — moves one of these digests.
+
+std::string digest(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  std::ostringstream oss;
+  oss << std::hex << h << std::dec << "/" << text.size();
+  return oss.str();
+}
+
+/// The counter-track tail of a traced session's trace.json: the "metrics"
+/// process (pid 998) and its "C" events, which the exporter writes after
+/// every span event.
+std::string counter_tracks(const sim::Session& s) {
+  const std::string json = s.trace_json();
+  const std::size_t pid = json.find("\"pid\":998");
+  return pid == std::string::npos ? std::string{}
+                                  : json.substr(json.rfind('{', pid));
+}
+
+struct GoldenDigests {
+  const char* report;
+  const char* openmetrics;
+  const char* counter_tracks;
+};
+
+void expect_golden(const char* what, const sim::Session& s,
+                   const sim::Report& rep, const GoldenDigests& want) {
+  EXPECT_EQ(digest(rep.to_json()), want.report) << what << ": report";
+  EXPECT_EQ(digest(s.openmetrics()), want.openmetrics)
+      << what << ": openmetrics";
+  const std::string tracks = counter_tracks(s);
+  EXPECT_FALSE(tracks.empty()) << what;
+  EXPECT_EQ(digest(tracks), want.counter_tracks)
+      << what << ": counter tracks";
+}
+
+metrics::MetricsConfig sampled_every(Cycle interval) {
+  metrics::MetricsConfig cfg = metrics::MetricsConfig::enabled_default();
+  cfg.sample_interval_cycles = interval;
+  return cfg;
+}
+
+TEST(MetricsGolden, SingleCoreSampledRunWithEnergy) {
+  sim::Session s = sim::Session::builder()
+                       .metrics(sampled_every(50000))
+                       .energy(energy::EnergyConfig::enabled_default())
+                       .trace(trace::TraceConfig::enabled_default())
+                       .build();
+  const sim::Report rep = s.run(zoo::squeezenet_v11(48));
+  ASSERT_GT(rep.metrics.windows, 1u);
+  expect_golden("single-core", s, rep,
+                {"b458e524cc878cb0/20624", "db9267c2462b472f/10893",
+                 "fc862b1d6295f4d5/123832"});
+}
+
+TEST(MetricsGolden, TwoCoreRunsWithLazyRequestorsAndAnIdleCore) {
+  SocConfig cfg = SocConfig::base_1mb_l2();
+  cfg.cores = 2;
+  sim::Session s = sim::Session::builder(cfg)
+                       .metrics(sampled_every(50000))
+                       .trace(trace::TraceConfig::enabled_default())
+                       .build();
+  const sim::Report both = s.run_multicore(zoo::squeezenet_v11(32));
+  ASSERT_TRUE(both.metrics.counters.count("sysbus.req1.bytes"));
+  ASSERT_TRUE(both.metrics.counters.count("dram.req1.bytes"));
+  expect_golden("multicore", s, both,
+                {"40d06748180d71b6/19088", "75e3e27dfddc8810/11101",
+                 "acffcf87a84d93b8/115058"});
+
+  // Core 1 idles through a single-stream run on the same SoC: its counters
+  // read zero in every window, and core 1's requestor counters persist
+  // from the previous run.
+  const sim::Report one = s.run(zoo::squeezenet_v11(32));
+  EXPECT_EQ(one.metrics.counters.at("core1.exec.macs"), 0u);
+  EXPECT_EQ(one.metrics.counters.at("sysbus.req1.bytes"), 0u);
+  expect_golden("idle core 1", s, one,
+                {"79ce618a5f60c1f4/18689", "1f45b91a2841e040/10991",
+                 "633f645f0ce07bca/96744"});
+}
+
+TEST(MetricsGolden, LlmDecodeOnBufferedDram) {
+  llm::DecodeConfig cfg;
+  cfg.hidden = 128;
+  cfg.heads = 4;
+  cfg.layers = 2;
+  cfg.prompt_tokens = 8;
+  cfg.decode_steps = 6;
+  cfg.batch = 2;
+  SocConfig soc = SocConfig::base_1mb_l2();
+  soc.mem.l2.size_bytes = 64 << 10;  // small enough to evict dirty KV lines
+  soc.mem.dram.channels = 2;
+  soc.mem.dram.scheduler = DramScheduler::kFrFcfs;
+  soc.mem.dram.write_queue_depth = 16;
+  soc.mem.dram.write_drain_floor = 4;
+  soc.mem.dram.refresh_interval = 7800;
+  soc.mem.dram.refresh_latency = 280;
+  sim::Session s = sim::Session::builder(soc)
+                       .metrics(sampled_every(20000))
+                       .energy(energy::EnergyConfig::enabled_default())
+                       .trace(trace::TraceConfig::enabled_default())
+                       .build();
+  const sim::Report rep = llm::run_decode(s, cfg);
+  ASSERT_TRUE(rep.metrics.gauge_timelines.count("llm.kv_bytes"));
+  // The end-of-run write drain lands in the last (partial) window.
+  std::uint64_t last_window_writes = 0;
+  for (const char* ch : {"dram.ch0.writes", "dram.ch1.writes"}) {
+    last_window_writes += rep.metrics.counter_timelines.at(ch).back();
+  }
+  EXPECT_GT(last_window_writes, 0u);
+  expect_golden("llm decode", s, rep,
+                {"bb35c8754c30d0e5/21083", "8aa42f242aeb2aa4/8357",
+                 "1beb31a7f8959bed/261164"});
+}
+
+TEST(MetricsGolden, OneSessionRunTwice) {
+  sim::Session s = sim::Session::builder()
+                       .metrics(metrics::MetricsConfig::enabled_default())
+                       .energy(energy::EnergyConfig::enabled_default())
+                       .trace(trace::TraceConfig::enabled_default())
+                       .build();
+  const sim::Report first = s.run(zoo::squeezenet_v11(48));
+  expect_golden("first run", s, first,
+                {"c4a1ca4e342c78cc/19489", "db9267c2462b472f/10893",
+                 "3bad9a41f8d6b762/93884"});
+  const sim::Report second = s.run(zoo::squeezenet_v11(48));
+  // Published energy.* result gauges never become timelines.
+  for (const auto& [name, timeline] : second.metrics.gauge_timelines) {
+    EXPECT_FALSE(name.starts_with("energy.")) << name;
+  }
+  expect_golden("second run", s, second,
+                {"d73e71793331ed53/19485", "72da3fc83b076f07/10896",
+                 "a73f14f70456c684/93882"});
 }
 
 }  // namespace
