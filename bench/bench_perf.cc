@@ -106,8 +106,9 @@ AbTiming time_ab_ms(int pairs, A&& a, B&& b) {
   return {percentile(ta, 50), percentile(tb, 50), percentile(ratio, 50)};
 }
 
-/// Pairs per kernel A/B (odd, so each median is one measured pair).
-constexpr int kKernelAbPairs = 7;
+/// Pairs per interleaved A/B gate (odd, so each median is one measured
+/// pair).
+constexpr int kAbPairs = 7;
 
 /// One functional single-core session per measurement: every run starts
 /// from the exact cold state the seed simulator would see, so the cycle
@@ -145,7 +146,7 @@ Entry kernel_matmul_i8(std::size_t m, std::size_t k, std::size_t n) {
   for (auto& v : bias) v = rng.next_range(-1000, 1000);
 
   const AbTiming t = time_ab_ms(
-      kKernelAbPairs,
+      kAbPairs,
       [&] { ref::gemm_i8(a, b, bias.data(), c_fast, 6, Activation::kRelu); },
       [&] {
         ref::gemm_i8_naive(a, b, bias.data(), c_naive, 6, Activation::kRelu);
@@ -169,7 +170,7 @@ Entry kernel_matmul_f32(std::size_t m, std::size_t k, std::size_t n) {
   b.randomize(rng);
 
   const AbTiming t = time_ab_ms(
-      kKernelAbPairs,
+      kAbPairs,
       [&] { ref::gemm_f32(a, b, nullptr, c_fast, Activation::kNone); },
       [&] { ref::gemm_f32_naive(a, b, nullptr, c_naive, Activation::kNone); });
 
@@ -1004,16 +1005,14 @@ int run_metrics(const std::string& out_path) {
 
   // Gate 1: the golden workloads are cycle-identical with the registry and
   // sampler attached — metrics are observational only.
-  auto resnet_run = [&](bool with_metrics, double* wall) {
+  const Model resnet = zoo::resnet50(32);
+  auto resnet_run = [&](bool with_metrics) {
     SocConfig cfg = SocConfig::base_1mb_l2();
     cfg.accel.has_im2col = true;
     auto b = sim::Session::builder(cfg);
     if (with_metrics) b.metrics(sampled);
     sim::Session s = b.build();
-    const double t0 = now_ms();
-    const sim::Report r = s.run(zoo::resnet50(32));
-    if (wall != nullptr) *wall = std::min(*wall, now_ms() - t0);
-    return r;
+    return s.run(resnet);
   };
 
   auto matmul_cycles = [&](bool with_metrics) {
@@ -1045,26 +1044,35 @@ int run_metrics(const std::string& out_path) {
               static_cast<unsigned long long>(matmul_on),
               matmul_ok ? "identical" : "DIVERGED");
 
-  // Best-of-3 walls for the overhead gate; cycle identity checked on every
-  // rep. The resnet slice is the heaviest golden workload, so its wall is
-  // the one a grid sweep would pay.
-  double wall_off = 1e300, wall_on = 1e300;
+  // The overhead gate times interleaved off/on pairs and gates on the
+  // median of the per-pair on/off ratios, so load that drifts over the run
+  // lands on both halves of a pair. Cycle identity is checked on every run.
+  // The resnet slice is the heaviest golden workload, so its wall is the
+  // one a grid sweep would pay.
   Cycle resnet_off = 0, resnet_on = 0;
+  bool resnet_ok = true;
   sim::Report metered_report;
-  for (int rep = 0; rep < 3; ++rep) {
-    resnet_off = resnet_run(false, &wall_off).cycles;
-    metered_report = resnet_run(true, &wall_on);
-    resnet_on = metered_report.cycles;
-  }
-  const bool resnet_ok = resnet_off == 9355595u && resnet_on == resnet_off;
-  const double overhead_pct = 100.0 * (wall_on / wall_off - 1.0);
+  const AbTiming ab = time_ab_ms(
+      kAbPairs,
+      [&] {
+        resnet_off = resnet_run(false).cycles;
+        resnet_ok = resnet_ok && resnet_off == 9355595u;
+      },
+      [&] {
+        metered_report = resnet_run(true);
+        resnet_on = metered_report.cycles;
+        resnet_ok = resnet_ok && resnet_on == resnet_off;
+      });
+  const double wall_off = ab.a_ms, wall_on = ab.b_ms;
+  const double overhead_pct = 100.0 * (ab.b_over_a - 1.0);
   const bool overhead_ok = overhead_pct <= 5.0;
   std::printf("resnet50_slice_32    off %llu  on %llu  (%s)\n",
               static_cast<unsigned long long>(resnet_off),
               static_cast<unsigned long long>(resnet_on),
               resnet_ok ? "identical" : "DIVERGED");
-  std::printf("metrics-on overhead  %.2f%% (off %.1f ms, on %.1f ms, %s)\n",
-              overhead_pct, wall_off, wall_on,
+  std::printf("metrics-on overhead  %.2f%% (median of %d pairs; off %.1f ms, "
+              "on %.1f ms, %s)\n",
+              overhead_pct, kAbPairs, wall_off, wall_on,
               overhead_ok ? "<= 5%" : "EXCEEDS 5%");
 
   // Gate 2: the reconciliation invariant on the metered resnet run — every

@@ -4,33 +4,16 @@
 
 namespace gemmini {
 
-namespace {
-
-// This core's registry counter "core<N>.<what>"; null when metrics are off.
-metrics::Counter* core_counter(metrics::Metrics* metrics, RequestorId core,
-                               const char* what) {
-  if (metrics == nullptr) return nullptr;
-  return &metrics->registry().counter("core" + std::to_string(core.value) +
-                                      "." + what);
-}
-
-}  // namespace
-
 Accelerator::Accelerator(const GemminiConfig& cfg, MemorySystem& mem,
                          PageTableWalker& ptw, RequestorId requestor,
-                         trace::Tracer* tracer, fault::Injector* injector,
-                         metrics::Metrics* metrics)
+                         trace::Tracer* tracer, fault::Injector* injector)
     : cfg_(cfg),
       mem_(mem),
       tracer_(tracer),
-      m_macs_(core_counter(metrics, requestor, "exec.macs")),
-      m_tiles_(core_counter(metrics, requestor, "exec.tiles")),
-      sp_(cfg_, injector, core_counter(metrics, requestor, "sp.rows")),
-      acc_(cfg_, injector, core_counter(metrics, requestor, "acc.rows")),
-      translation_(cfg_.translation, ptw, tracer, injector, metrics,
-                   requestor.value),
-      dma_(cfg_, mem_, translation_, sp_, acc_, requestor, tracer, injector,
-           metrics),
+      sp_(cfg_, injector),
+      acc_(cfg_, injector),
+      translation_(cfg_.translation, ptw, tracer, injector),
+      dma_(cfg_, mem_, translation_, sp_, acc_, requestor, tracer, injector),
       exec_(cfg_, sp_, acc_, injector),
       hazards_(cfg_.sp_rows(), cfg_.acc_rows()),
       rob_(cfg_.rob_entries, 0) {
@@ -207,10 +190,7 @@ void Accelerator::exec_one(const Instruction& inst) {
         tracer_->span(trace::EventKind::kTile, start, end,
                       report_.macs - macs_before);
       }
-      if (m_macs_ != nullptr) {
-        m_macs_->add(report_.macs - macs_before);
-        m_tiles_->add();
-      }
+      ++report_.tiles;
       if (!inst.local.is_garbage()) {
         hazards_.record_read(false, inst.local.row(), inst.rows, end);
       }

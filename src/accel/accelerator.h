@@ -33,6 +33,7 @@ struct AccelReport {
   Cycle finish = 0;            ///< completion of everything issued
   std::uint64_t instructions = 0;
   std::uint64_t macs = 0;
+  std::uint64_t tiles = 0;     ///< COMPUTE instructions executed
   Cycle load_busy = 0;
   Cycle exec_busy = 0;
   Cycle store_busy = 0;
@@ -51,15 +52,11 @@ class Accelerator {
   /// `ptw` is shared SoC-wide (single walker, as in the paper's edge SoC).
   /// `tracer` (may be null) receives instruction-level spans (MVIN/MVOUT,
   /// preloads, compute tiles) plus everything the owned DMA/translation
-  /// subsystems emit. `metrics` (may be null) registers this core's
-  /// counters ("core<N>.exec.*", and via the owned DMA/translation,
-  /// "core<N>.dma.*" / "core<N>.tlb.*", and the SRAM row counts
-  /// "core<N>.sp.rows" / "core<N>.acc.rows") keyed by `requestor`.
+  /// subsystems emit.
   Accelerator(const GemminiConfig& cfg, MemorySystem& mem,
               PageTableWalker& ptw, RequestorId requestor,
               trace::Tracer* tracer = nullptr,
-              fault::Injector* injector = nullptr,
-              metrics::Metrics* metrics = nullptr);
+              fault::Injector* injector = nullptr);
 
   /// Functional mode moves real data through PhysMem; timing mode moves only
   /// time (used for full-DNN benchmark sweeps).
@@ -107,8 +104,6 @@ class Accelerator {
   GemminiConfig cfg_;
   MemorySystem& mem_;
   trace::Tracer* tracer_;
-  metrics::Counter* m_macs_;
-  metrics::Counter* m_tiles_;
   bool functional_ = true;
 
   Scratchpad sp_;

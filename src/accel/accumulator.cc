@@ -64,7 +64,6 @@ Cycle Accumulator::reserve(std::uint64_t row, std::uint64_t nrows, Cycle t,
   const Cycle done = start + cycles;
   for (unsigned b = first; b <= last; ++b) bank_busy_[b] = done;
   stats_.rows += nrows;
-  if (m_rows_ != nullptr) m_rows_->add(nrows);
   // Fault layer: one flip draw per reservation over the touched region.
   if (injector_ && nrows > 0) {
     std::uint64_t bit = 0;

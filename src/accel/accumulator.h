@@ -14,7 +14,6 @@
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/fault/fault.h"
-#include "src/metrics/metrics.h"
 
 namespace gemmini {
 
@@ -25,10 +24,8 @@ class Accumulator {
     std::uint64_t rows = 0;
   };
 
-  /// `m_rows` (may be null = metrics off) mirrors Stats::rows.
   explicit Accumulator(const GemminiConfig& cfg,
-                       fault::Injector* injector = nullptr,
-                       metrics::Counter* m_rows = nullptr)
+                       fault::Injector* injector = nullptr)
       : dtype_(cfg.dtype),
         dim_(cfg.dim()),
         rows_(cfg.acc_rows()),
@@ -36,8 +33,7 @@ class Accumulator {
         i32_(dtype_ == DType::kInt8 ? rows_ * dim_ : 0, 0),
         f32_(dtype_ == DType::kFp32 ? rows_ * dim_ : 0, 0.0f),
         bank_busy_(cfg.acc_banks, 0),
-        injector_(injector),
-        m_rows_(m_rows) {}
+        injector_(injector) {}
 
   std::uint64_t rows() const { return rows_; }
   unsigned dim() const { return dim_; }
@@ -105,7 +101,6 @@ class Accumulator {
   std::vector<float> f32_;
   std::vector<Cycle> bank_busy_;
   fault::Injector* injector_;
-  metrics::Counter* m_rows_;
   Stats stats_;
 };
 

@@ -76,10 +76,7 @@ DmaEngine::StreamResult DmaEngine::stream(const AddressSpace& as, VAddr va,
                         : trace::EventKind::kDmaBurstRead,
                   issue, r.done, bytes, requestor_.value);
   }
-  stats_.bytes += bytes;
-  if (m_load_bytes_ != nullptr) {
-    (write ? m_store_bytes_ : m_load_bytes_)->add(bytes);
-  }
+  (write ? stats_.store_bytes : stats_.load_bytes) += bytes;
   return r;
 }
 

@@ -18,7 +18,6 @@
 #include "src/base/types.h"
 #include "src/isa/isa.h"
 #include "src/mem/memsys.h"
-#include "src/metrics/metrics.h"
 #include "src/trace/trace.h"
 #include "src/vm/translation.h"
 
@@ -27,15 +26,14 @@ namespace gemmini {
 class DmaEngine {
  public:
   struct Stats {
-    /// Bytes streamed, loads plus stores.
-    std::uint64_t bytes = 0;
+    std::uint64_t load_bytes = 0;   ///< streamed from memory (MVIN)
+    std::uint64_t store_bytes = 0;  ///< streamed to memory (MVOUT)
   };
 
   DmaEngine(const GemminiConfig& cfg, MemorySystem& mem,
             TranslationSystem& translation, Scratchpad& sp, Accumulator& acc,
             RequestorId requestor, trace::Tracer* tracer = nullptr,
-            fault::Injector* injector = nullptr,
-            metrics::Metrics* metrics = nullptr)
+            fault::Injector* injector = nullptr)
       : cfg_(cfg),
         mem_(mem),
         translation_(translation),
@@ -43,13 +41,7 @@ class DmaEngine {
         acc_(acc),
         requestor_(requestor),
         tracer_(tracer),
-        injector_(injector) {
-    if (metrics != nullptr) {
-      const std::string p = "core" + std::to_string(requestor.value);
-      m_load_bytes_ = &metrics->registry().counter(p + ".dma.load_bytes");
-      m_store_bytes_ = &metrics->registry().counter(p + ".dma.store_bytes");
-    }
-  }
+        injector_(injector) {}
 
   /// Timing result of a data-movement instruction: `issue_done` is when the
   /// DMA front-end finishes injecting requests (the next MVIN/MVOUT can
@@ -109,8 +101,6 @@ class DmaEngine {
   RequestorId requestor_;
   trace::Tracer* tracer_;
   fault::Injector* injector_;
-  metrics::Counter* m_load_bytes_ = nullptr;
-  metrics::Counter* m_store_bytes_ = nullptr;
   // Reads and writes have independent in-flight windows, mirroring the
   // RTL's separate load/store reservation stations: a backlog of store
   // completions must not stall load issue.

@@ -21,7 +21,6 @@ Cycle Scratchpad::reserve(std::uint64_t row, std::uint64_t nrows, Cycle t,
     bank_busy_[b] = done;
   }
   stats_.rows += nrows;
-  if (m_rows_ != nullptr) m_rows_->add(nrows);
   // Fault layer: an SRAM cell in the reserved region may flip (one draw per
   // reservation — an access-correlated model, not time-based decay).
   if (injector_ && nrows > 0) {

@@ -13,7 +13,6 @@
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/fault/fault.h"
-#include "src/metrics/metrics.h"
 
 namespace gemmini {
 
@@ -26,17 +25,14 @@ class Scratchpad {
     std::uint64_t rows = 0;
   };
 
-  /// `m_rows` (may be null = metrics off) mirrors Stats::rows.
   explicit Scratchpad(const GemminiConfig& cfg,
-                      fault::Injector* injector = nullptr,
-                      metrics::Counter* m_rows = nullptr)
+                      fault::Injector* injector = nullptr)
       : row_bytes_(cfg.sp_row_bytes()),
         rows_(cfg.sp_rows()),
         bank_rows_(cfg.sp_bank_rows()),
         data_(rows_ * row_bytes_, 0),
         bank_busy_(cfg.sp_banks, 0),
-        injector_(injector),
-        m_rows_(m_rows) {}
+        injector_(injector) {}
 
   std::uint64_t rows() const { return rows_; }
   std::uint64_t row_bytes() const { return row_bytes_; }
@@ -84,7 +80,6 @@ class Scratchpad {
   std::vector<std::uint8_t> data_;
   std::vector<Cycle> bank_busy_;
   fault::Injector* injector_;
-  metrics::Counter* m_rows_;
   Stats stats_;
 };
 

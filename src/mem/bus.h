@@ -8,18 +8,17 @@
 // waits, which is the mechanism behind multi-core contention in Fig. 9.
 //
 // Accounting is kept per requestor (who moved how many bytes, who ate how
-// many wait cycles) — the raw material for both the sim::Report substrate
-// table and trace-event attribution. When a trace::Tracer is attached, every
-// grant (and any wait preceding it) is emitted as a span on this bus's
-// track; tracing is observational and never alters busy_until_ bookkeeping.
+// many wait cycles) — the raw material for the sim::Report substrate table,
+// the telemetry listing (Soc::counts) and trace-event attribution. When a
+// trace::Tracer is attached, every grant (and any wait preceding it) is
+// emitted as a span on this bus's track; tracing is observational and never
+// alters busy_until_ bookkeeping.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/base/status.h"
 #include "src/base/types.h"
-#include "src/metrics/metrics.h"
 #include "src/trace/trace.h"
 
 namespace gemmini {
@@ -49,20 +48,10 @@ class Bus {
     std::uint64_t busy_cycles = 0;
   };
 
-  explicit Bus(const BusConfig& cfg, std::string name = "bus",
-               trace::Tracer* tracer = nullptr,
-               trace::Unit unit = trace::Unit::kSystemBus,
-               metrics::Metrics* metrics = nullptr)
-      : cfg_(cfg),
-        name_(std::move(name)),
-        tracer_(tracer),
-        metrics_(metrics),
-        unit_(unit) {
+  explicit Bus(const BusConfig& cfg, trace::Tracer* tracer = nullptr,
+               trace::Unit unit = trace::Unit::kSystemBus)
+      : cfg_(cfg), tracer_(tracer), unit_(unit) {
     cfg_.validate();
-    if (metrics_ != nullptr) {
-      m_bytes_ = &metrics_->registry().counter(name_ + ".bytes");
-      m_wait_ = &metrics_->registry().counter(name_ + ".wait_cycles");
-    }
   }
 
   /// Requests the bus at time `t` for a `bytes`-byte transfer. Returns the
@@ -71,17 +60,12 @@ class Bus {
     const Cycle occupancy =
         (bytes + cfg_.width_bytes - 1) / cfg_.width_bytes;
     const Cycle start = t > busy_until_ ? t : busy_until_;
-    const std::size_t ri = requestor_index(requestor.value);
-    RequestorStats& rs = by_requestor_[ri];
+    RequestorStats& rs = by_requestor_[requestor_index(requestor.value)];
     if (start > t) {
       rs.wait_cycles += start - t;
       if (tracer_) {
         tracer_->span_on(unit_, trace::EventKind::kBusWait, t, start, bytes,
                          requestor.value);
-      }
-      if (m_wait_ != nullptr) {
-        m_wait_->add(start - t);
-        m_req_wait_[ri]->add(start - t);
       }
     }
     busy_until_ = start + occupancy;
@@ -91,10 +75,6 @@ class Bus {
     if (tracer_) {
       tracer_->span_on(unit_, trace::EventKind::kBusGrant, start, busy_until_,
                        bytes, requestor.value);
-    }
-    if (m_bytes_ != nullptr) {
-      m_bytes_->add(bytes);
-      m_req_bytes_[ri]->add(bytes);
     }
     return busy_until_;
   }
@@ -107,10 +87,6 @@ class Bus {
     busy_until_ = 0;
     stats_ = Stats{};
     by_requestor_.clear();
-    // Registry entries survive; the handle vectors are rebuilt as
-    // requestors reappear (counter() returns the same node).
-    m_req_bytes_.clear();
-    m_req_wait_.clear();
   }
 
   const BusConfig& config() const { return cfg_; }
@@ -137,28 +113,15 @@ class Bus {
       if (by_requestor_[i].requestor == id) return i;
     }
     by_requestor_.push_back(RequestorStats{id, 0, 0, 0});
-    if (metrics_ != nullptr) {
-      const std::string p = name_ + ".req" + std::to_string(id);
-      m_req_bytes_.push_back(&metrics_->registry().counter(p + ".bytes"));
-      m_req_wait_.push_back(
-          &metrics_->registry().counter(p + ".wait_cycles"));
-    }
     return by_requestor_.size() - 1;
   }
 
   BusConfig cfg_;
-  std::string name_;
   trace::Tracer* tracer_;
-  metrics::Metrics* metrics_;
-  metrics::Counter* m_bytes_ = nullptr;
-  metrics::Counter* m_wait_ = nullptr;
   trace::Unit unit_;
   Cycle busy_until_ = 0;
   Stats stats_;
   std::vector<RequestorStats> by_requestor_;
-  /// Parallel to by_requestor_ (only populated when metrics are on).
-  std::vector<metrics::Counter*> m_req_bytes_;
-  std::vector<metrics::Counter*> m_req_wait_;
 };
 
 }  // namespace gemmini

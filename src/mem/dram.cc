@@ -22,27 +22,13 @@ const char* dram_interleave_name(DramInterleave i) {
 }
 
 Dram::Dram(const DramConfig& cfg, trace::Tracer* tracer,
-           fault::Injector* injector, metrics::Metrics* metrics)
-    : cfg_(cfg), tracer_(tracer), injector_(injector), metrics_(metrics) {
+           fault::Injector* injector)
+    : cfg_(cfg), tracer_(tracer), injector_(injector) {
   cfg_.validate();
   channels_.resize(cfg_.channels);
   for (Channel& ch : channels_) ch.banks.assign(cfg_.banks, Bank{});
   by_channel_.resize(cfg_.channels);
   for (unsigned c = 0; c < cfg_.channels; ++c) by_channel_[c].channel = c;
-  if (metrics_ != nullptr) {
-    metrics::Registry& reg = metrics_->registry();
-    m_channels_.resize(cfg_.channels);
-    for (unsigned c = 0; c < cfg_.channels; ++c) {
-      const std::string p = "dram.ch" + std::to_string(c);
-      m_channels_[c].accesses = &reg.counter(p + ".accesses");
-      m_channels_[c].bytes = &reg.counter(p + ".bytes");
-      m_channels_[c].row_hits = &reg.counter(p + ".row_hits");
-      m_channels_[c].row_misses = &reg.counter(p + ".row_misses");
-      m_channels_[c].writes = &reg.counter(p + ".writes");
-      m_channels_[c].refresh_periods = &reg.counter(p + ".refresh_periods");
-      m_channels_[c].queue_depth = &reg.gauge(p + ".queue_depth");
-    }
-  }
 }
 
 unsigned Dram::channel_of(PAddr addr) const {
@@ -146,12 +132,7 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
     }
     // Count each refresh period the channel has entered exactly once
     // (period p means p + 1 windows so far, including period 0's).
-    if (period + 1 > cs.refresh_periods) {
-      if (metrics_ != nullptr) {
-        m_channels_[ci].refresh_periods->add(period + 1 - cs.refresh_periods);
-      }
-      cs.refresh_periods = period + 1;
-    }
+    if (period + 1 > cs.refresh_periods) cs.refresh_periods = period + 1;
   }
 
   const bool row_hit = bank.open_valid && bank.open_row == rq.row;
@@ -161,22 +142,11 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
   cs.bytes += rq.bytes;
   (row_hit ? cs.row_hits : cs.row_misses) += 1;
   if (rq.is_write) cs.writes += 1;
-  const std::size_t ri = requestor_index(rq.requestor);
-  RequestorStats& rs = by_requestor_[ri];
+  RequestorStats& rs = by_requestor_[requestor_index(rq.requestor)];
   rs.accesses += 1;
   rs.bytes += rq.bytes;
   rs.channel_bytes[ci] += rq.bytes;
   (row_hit ? rs.row_hits : rs.row_misses) += 1;
-  if (metrics_ != nullptr) {
-    const ChannelMetrics& cm = m_channels_[ci];
-    cm.accesses->add();
-    cm.bytes->add(rq.bytes);
-    (row_hit ? cm.row_hits : cm.row_misses)->add();
-    if (rq.is_write) cm.writes->add();
-    const RequestorMetrics& rm = m_requestors_[ri];
-    rm.bytes->add(rq.bytes);
-    (row_hit ? rm.row_hits : rm.row_misses)->add();
-  }
 
   // The channel's data bus serializes only the data *bursts*, so accesses
   // to different banks overlap their activate/CAS latencies; column
@@ -281,9 +251,6 @@ void Dram::drain_writes() {
 void Dram::note_queue_depth(unsigned ci, Cycle t) {
   Channel& ch = channels_[ci];
   ch.depth.record(t, static_cast<double>(ch.queue.size()));
-  if (metrics_ != nullptr) {
-    m_channels_[ci].queue_depth->set(static_cast<double>(ch.queue.size()));
-  }
 }
 
 std::size_t Dram::pending_writes() const {
@@ -301,7 +268,6 @@ void Dram::reset_time() {
   }
   next_seq_ = 0;
   by_requestor_.clear();
-  m_requestors_.clear();
   for (unsigned c = 0; c < cfg_.channels; ++c) {
     by_channel_[c] = ChannelStats{};
     by_channel_[c].channel = c;
@@ -314,15 +280,6 @@ std::size_t Dram::requestor_index(int id) {
   }
   by_requestor_.push_back(RequestorStats{id, 0, 0, 0, 0, {}});
   by_requestor_.back().channel_bytes.assign(cfg_.channels, 0);
-  if (metrics_ != nullptr) {
-    metrics::Registry& reg = metrics_->registry();
-    const std::string p = "dram.req" + std::to_string(id);
-    RequestorMetrics rm;
-    rm.bytes = &reg.counter(p + ".bytes");
-    rm.row_hits = &reg.counter(p + ".row_hits");
-    rm.row_misses = &reg.counter(p + ".row_misses");
-    m_requestors_.push_back(rm);
-  }
   return by_requestor_.size() - 1;
 }
 

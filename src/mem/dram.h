@@ -37,7 +37,6 @@
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/fault/fault.h"
-#include "src/metrics/metrics.h"
 #include "src/trace/trace.h"
 
 namespace gemmini {
@@ -147,12 +146,8 @@ class Dram {
 
   /// `injector` (may be null) receives read completions on the data path so
   /// the fault layer can flip bits and charge ECC correction latency.
-  /// `metrics` (may be null) registers per-channel counters/gauges
-  /// ("dram.ch<N>.*") at construction and per-requestor counters
-  /// ("dram.req<id>.*") lazily as requestors appear.
   explicit Dram(const DramConfig& cfg, trace::Tracer* tracer = nullptr,
-                fault::Injector* injector = nullptr,
-                metrics::Metrics* metrics = nullptr);
+                fault::Injector* injector = nullptr);
 
   /// Which channel services `addr`, under the configured interleave policy.
   unsigned channel_of(PAddr addr) const;
@@ -204,6 +199,10 @@ class Dram {
   const TimeWeighted& queue_depth(unsigned ch) const {
     return channels_[ch].depth;
   }
+  /// Requests queued in channel `ch` right now.
+  std::size_t queue_size(unsigned ch) const {
+    return channels_[ch].queue.size();
+  }
   void reset_time();
 
  private:
@@ -247,33 +246,13 @@ class Dram {
 
   std::size_t requestor_index(int id);
 
-  /// Cached registry handles, one set per channel / per requestor slot
-  /// (only populated when metrics are attached).
-  struct ChannelMetrics {
-    metrics::Counter* accesses = nullptr;
-    metrics::Counter* bytes = nullptr;
-    metrics::Counter* row_hits = nullptr;
-    metrics::Counter* row_misses = nullptr;
-    metrics::Counter* writes = nullptr;
-    metrics::Counter* refresh_periods = nullptr;
-    metrics::Gauge* queue_depth = nullptr;
-  };
-  struct RequestorMetrics {
-    metrics::Counter* bytes = nullptr;
-    metrics::Counter* row_hits = nullptr;
-    metrics::Counter* row_misses = nullptr;
-  };
-
   DramConfig cfg_;
   trace::Tracer* tracer_;
   fault::Injector* injector_;
-  metrics::Metrics* metrics_;
   std::vector<Channel> channels_;
   std::uint64_t next_seq_ = 0;
   std::vector<RequestorStats> by_requestor_;
   std::vector<ChannelStats> by_channel_;
-  std::vector<ChannelMetrics> m_channels_;
-  std::vector<RequestorMetrics> m_requestors_;  ///< parallel to by_requestor_
 };
 
 }  // namespace gemmini

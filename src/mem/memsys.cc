@@ -5,21 +5,14 @@
 namespace gemmini {
 
 MemorySystem::MemorySystem(const MemSysConfig& cfg, trace::Tracer* tracer,
-                           fault::Injector* injector,
-                           metrics::Metrics* metrics)
+                           fault::Injector* injector)
     : cfg_(cfg),
       tracer_(tracer),
-      sysbus_(cfg.system_bus, "sysbus", tracer, trace::Unit::kSystemBus,
-              metrics),
+      sysbus_(cfg.system_bus, tracer, trace::Unit::kSystemBus),
       l2_(std::make_unique<Cache>(cfg.l2)),
-      membus_(cfg.memory_bus, "membus", tracer, trace::Unit::kMemoryBus,
-              metrics),
-      dram_(cfg.dram, tracer, injector, metrics) {
+      membus_(cfg.memory_bus, tracer, trace::Unit::kMemoryBus),
+      dram_(cfg.dram, tracer, injector) {
   cfg_.validate();
-  if (metrics != nullptr) {
-    m_l2_hits_ = &metrics->registry().counter("l2.hits");
-    m_l2_misses_ = &metrics->registry().counter("l2.misses");
-  }
 }
 
 Cycle MemorySystem::access(PAddr addr, std::uint64_t bytes, bool write,
@@ -40,9 +33,6 @@ Cycle MemorySystem::access(PAddr addr, std::uint64_t bytes, bool write,
       tracer_->instant(ca.hit ? trace::EventKind::kL2Hit
                               : trace::EventKind::kL2Miss,
                        at_l2, in_line, requestor.value);
-    }
-    if (m_l2_hits_ != nullptr) {
-      (ca.hit ? m_l2_hits_ : m_l2_misses_)->add();
     }
     Cycle line_done = at_l2 + cfg_.l2.hit_latency;
     if (!ca.hit) {

@@ -23,7 +23,6 @@
 #include "src/mem/cache.h"
 #include "src/mem/dram.h"
 #include "src/mem/phys_mem.h"
-#include "src/metrics/metrics.h"
 #include "src/trace/trace.h"
 
 namespace gemmini {
@@ -51,13 +50,10 @@ class MemorySystem {
 
   /// `tracer` (may be null) is shared with both buses and the DRAM model;
   /// the memory system itself emits the L2 hit/miss events. `injector` (may
-  /// be null) reaches the DRAM read path for fault injection. `metrics`
-  /// (may be null) is shared the same way; the memory system owns the
-  /// `l2.hits`/`l2.misses` counters.
+  /// be null) reaches the DRAM read path for fault injection.
   explicit MemorySystem(const MemSysConfig& cfg,
                         trace::Tracer* tracer = nullptr,
-                        fault::Injector* injector = nullptr,
-                        metrics::Metrics* metrics = nullptr);
+                        fault::Injector* injector = nullptr);
 
   /// Timing access: `bytes` at physical address `addr`, issued at cycle `t`.
   /// Returns the completion cycle. Splits across cache lines; state (cache
@@ -104,8 +100,6 @@ class MemorySystem {
  private:
   MemSysConfig cfg_;
   trace::Tracer* tracer_;
-  metrics::Counter* m_l2_hits_ = nullptr;
-  metrics::Counter* m_l2_misses_ = nullptr;
   PhysMem phys_;
   Bus sysbus_;
   std::unique_ptr<Cache> l2_;

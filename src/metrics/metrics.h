@@ -1,15 +1,12 @@
 #pragma once
-// metrics:: — the zero-overhead-off metric registry and cycle-windowed
-// time-series sampler.
+// metrics:: — the metric registry and cycle-windowed time-series sampler.
 //
-// The registry follows the trace::Tracer contract exactly: timed components
-// take a possibly-null `metrics::Metrics*` as a trailing constructor
-// parameter, cache the Counter*/Gauge* handles they need at construction,
-// and guard every hot-path update with one predictable null check. A null
-// pointer means "metrics off" and the instrumented code paths cost nothing
-// but that branch — golden cycle counts are bit-identical either way,
-// because metrics (like tracing) are observational: they never feed back
-// into timing decisions.
+// Telemetry is pulled. The timed components keep only plain Stats and never
+// see this header; Soc::counts() names each count, and a metering
+// sim::Session copies that listing into the registry before every sampler
+// snapshot (each window boundary, and after the end-of-run DRAM write
+// drain). Metrics are observational: nothing here feeds back into timing,
+// so golden cycle counts are bit-identical with them on or off.
 //
 // Three instrument kinds:
 //  * Counter   — monotone uint64 (bytes moved, MACs retired, row hits).
@@ -25,13 +22,14 @@
 // `finish()` closes one final partial window, so for every counter
 // `sum(deltas) == counter.value()` exactly — the reconciliation invariant
 // bench --metrics and the unit tests gate on. Metrics registered mid-run
-// (lazily created per-requestor counters) are zero-padded back to window 0.
+// (per-requestor counters, listed once a requestor first appears) are
+// zero-padded back to window 0.
 //
 // Determinism: the registry is std::map-backed, so iteration order (and
 // therefore every exported timeline, JSON section and OpenMetrics document)
 // is name-ordered and independent of registration order. std::map node
 // stability is load-bearing: Registry::reset() zeroes values *in place*, so
-// the handle pointers components cached at construction survive run resets.
+// handles a collector resolved stay valid across run resets.
 
 #include <bit>
 #include <cstdint>
@@ -47,6 +45,8 @@ namespace gemmini::metrics {
 class Counter {
  public:
   void add(std::uint64_t n = 1) { value_ += n; }
+  /// Copies a component's running total (the pull model's update).
+  void set(std::uint64_t v) { value_ = v; }
   std::uint64_t value() const { return value_; }
   void reset() { value_ = 0; }
 
@@ -152,8 +152,8 @@ class Registry {
     published_.push_back(name);
   }
 
-  /// Zeroes every instrument *in place* — entries (and the pointers
-  /// components cached) survive, so one Session can run many times.
+  /// Zeroes every instrument *in place* — entries (and the handles a
+  /// collector resolved) survive, so one Session can run many times.
   /// Published result gauges are removed.
   void reset() {
     for (const std::string& name : published_) gauges_.erase(name);
@@ -243,6 +243,9 @@ class TimeSeriesSampler {
   }
 
   Cycle interval() const { return interval_; }
+  /// The next window boundary advance_to() will close (kCycleMax when not
+  /// sampling).
+  Cycle next_boundary() const { return interval_ == 0 ? kCycleMax : next_; }
   std::size_t windows() const { return windows_; }
   const std::map<std::string, CounterSeries>& counter_series() const {
     return counters_;
@@ -275,9 +278,8 @@ class TimeSeriesSampler {
   std::map<std::string, std::vector<double>> gauges_;
 };
 
-/// The handle threaded through the timed stack (Soc -> MemorySystem ->
-/// Bus/Dram, Accelerator -> DMA/TLB). Owns the registry and the sampler;
-/// the SoC drives the run lifecycle.
+/// Owns the registry and the sampler; the owner (a metering sim::Session,
+/// or serve::Server for its own counters) drives the run lifecycle.
 class Metrics {
  public:
   explicit Metrics(const MetricsConfig& cfg)

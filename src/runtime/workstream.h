@@ -35,8 +35,8 @@ struct WorkStep {
   std::function<void(const AddressSpace&)> pre_fixup;
   std::function<void(const AddressSpace&)> post_fixup;
   /// Optional gauge annotation: when metrics are attached and this is
-  /// non-empty, the SoC sets registry gauge `metric_gauge` to
-  /// `metric_value` as the step completes. Workload generators use it to
+  /// non-empty, the session's collector sets registry gauge `metric_gauge`
+  /// to `metric_value` as the step completes. Workload generators use it to
   /// expose workload-level state as timelines (e.g. the LLM generator
   /// stamps "llm.kv_bytes" with the KV-cache footprint after each decode
   /// step). Carries no timing; ignored when metrics are off.

@@ -5,9 +5,11 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 namespace gemmini::sim {
 
@@ -154,6 +156,28 @@ Report error_report(const SweepPoint& point, std::string message) {
   return rep;
 }
 
+/// What no single point can check: serving runs are never traced, and no
+/// two exports (trace or metrics) of the grid write one file, since points
+/// may run on different workers.
+void check_grid(const std::vector<SweepPoint>& points) {
+  std::set<std::string> exports;
+  for (const SweepPoint& p : points) {
+    GEMMINI_CONFIG_REQUIRE(!(p.serve.enabled && p.trace.enabled),
+                           "sim::Sweep: point '" << p.name
+                               << "' enables serve and trace, and serving "
+                                  "runs are not traced");
+    for (const auto& [on, path] :
+         {std::pair{p.trace.enabled, &p.trace.export_path},
+          std::pair{p.metrics.enabled, &p.metrics.export_path}}) {
+      GEMMINI_CONFIG_REQUIRE(
+          !on || path->empty() || exports.insert(*path).second,
+          "sim::Sweep: point '" << p.name << "' exports to '" << *path
+                                << "', which another export of the grid "
+                                   "also writes");
+    }
+  }
+}
+
 }  // namespace
 
 Report Sweep::run_point(const SweepPoint& point) {
@@ -181,6 +205,7 @@ Report Sweep::run_point(const SweepPoint& point) {
 }
 
 std::vector<Report> Sweep::run(const SweepOptions& opts) const {
+  check_grid(points_);
   std::vector<std::optional<Report>> slots(points_.size());
   std::vector<std::string> errors(points_.size());
 

@@ -139,6 +139,9 @@ class Sweep {
   /// N-1 results. `opts.strict` restores the abort-on-first-failure
   /// contract; in both modes the outcome is deterministic across thread
   /// counts (errors are attributed by point order, not thread timing).
+  /// Throws ConfigError before running anything if a point enables both
+  /// serve and trace, or two of the grid's trace/metrics exports share a
+  /// path.
   std::vector<Report> run(const SweepOptions& opts = {}) const;
 
   /// Runs one point exactly as the pool workers would (used by the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 
 #include "src/codegen/header_gen.h"
 #include "src/metrics/openmetrics.h"
@@ -104,7 +105,7 @@ Session::Session(const SocConfig& cfg, bool functional, std::uint64_t seed,
     energy_rates_ =
         energy::Rates::quantize(p, static_mw, cfg.accel.clock_ghz);
   }
-  soc_ = std::make_unique<Soc>(cfg, tracer_.get(), metrics_.get());
+  soc_ = std::make_unique<Soc>(cfg, tracer_.get());
   soc_->set_functional(functional_);
 }
 
@@ -158,12 +159,14 @@ trace::PerfettoOptions Session::perfetto_options(int indent) const {
 metrics::Metrics& Session::metrics() const {
   GEMMINI_CHECK_MSG(metering(),
                     "metrics(): session was built without .metrics()");
+  pull_counts(/*rebind=*/true);
   return *metrics_;
 }
 
 std::string Session::openmetrics() const {
   GEMMINI_CHECK_MSG(metering(),
                     "openmetrics(): session was built without .metrics()");
+  pull_counts(/*rebind=*/true);
   return metrics::to_openmetrics(metrics_->registry());
 }
 
@@ -171,7 +174,71 @@ bool Session::write_openmetrics(const std::string& path) const {
   GEMMINI_CHECK_MSG(
       metering(),
       "write_openmetrics(): session was built without .metrics()");
+  pull_counts(/*rebind=*/true);
   return metrics::write_openmetrics(metrics_->registry(), path);
+}
+
+void Session::pull_counts(bool rebind) const {
+  const std::size_t listed = counts_.size();
+  soc_->counts(counts_);
+  if (rebind || counts_.size() != listed) {
+    metrics::Registry& reg = metrics_->registry();
+    counters_.assign(counts_.size(), nullptr);
+    gauges_.assign(counts_.size(), nullptr);
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+      const std::string name = counts_[i].name();
+      if (counts_[i].level) {
+        gauges_[i] = &reg.gauge(name);
+      } else {
+        counters_[i] = &reg.counter(name);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (gauges_[i] != nullptr) {
+      gauges_[i]->set(static_cast<double>(counts_[i].value));
+    } else {
+      counters_[i]->set(counts_[i].value);
+    }
+  }
+}
+
+Cycle Session::begin_run(const std::vector<const WorkStream*>& streams) {
+  metrics_->begin_run();
+  pull_counts(/*rebind=*/true);
+  // One histogram name per distinct tag, not per step.
+  metrics::Registry& reg = metrics_->registry();
+  std::map<std::string_view, metrics::Histogram*> by_tag;
+  steps_.assign(streams.size(), {});
+  for (std::size_t c = 0; c < streams.size(); ++c) {
+    for (const WorkStep& step : streams[c]->steps) {
+      metrics::Histogram*& h = by_tag[step.tag];
+      if (h == nullptr) h = &reg.histogram("step_cycles." + step.tag);
+      steps_[c].push_back({h,
+                           step.metric_gauge.empty()
+                               ? nullptr
+                               : &reg.gauge(step.metric_gauge),
+                           step.metric_value});
+    }
+  }
+  return metrics_->sampler().next_boundary();
+}
+
+Cycle Session::advance_to(Cycle t) {
+  pull_counts(/*rebind=*/false);
+  metrics_->advance_to(t);
+  return metrics_->sampler().next_boundary();
+}
+
+void Session::step_done(unsigned core, std::size_t step, Cycle cycles) {
+  const StepSlot& slot = steps_[core][step];
+  slot.cycles->record(cycles);
+  if (slot.gauge != nullptr) slot.gauge->set(slot.gauge_value);
+}
+
+void Session::finish_run(Cycle t) {
+  pull_counts(/*rebind=*/false);
+  metrics_->finish_run(t);
 }
 
 std::string Session::trace_json(int indent) const {
@@ -381,7 +448,8 @@ energy::Counts Session::run_counts(Cycle cycles) const {
   for (unsigned core = 0; core < config().cores; ++core) {
     const Accelerator& a = soc_->accelerator(core);
     n.cores.push_back({.macs = a.report().macs,
-                       .dma_bytes = a.dma().stats().bytes,
+                       .dma_bytes = a.dma().stats().load_bytes +
+                                    a.dma().stats().store_bytes,
                        .sp_rows = a.scratchpad().stats().rows,
                        .acc_rows = a.accumulator().stats().rows});
   }
@@ -478,7 +546,7 @@ Report Session::run(const Model& model) {
   if (tracing()) traced_plan_ = last_plan_;
   last_lowered_ =
       lowering::emit_stream(*last_plan_, config().accel, config().cpu);
-  const CoreResult r = soc_->run(last_lowered_.stream);
+  const CoreResult r = soc_->run(last_lowered_.stream, collector());
   Report rep = make_report(model, {r});
   rep.layer_intensity = plan_layer_intensity(*last_plan_);
   return rep;
@@ -498,7 +566,7 @@ Report Session::run(const Plan& plan) {
   last_lowered_ = lowering::emit_stream(plan, config().accel, config().cpu);
   last_plan_ = plan;
   if (tracing()) traced_plan_ = plan;
-  const CoreResult r = soc_->run(last_lowered_.stream);
+  const CoreResult r = soc_->run(last_lowered_.stream, collector());
   Report rep = make_report(plan.model(), {r});
   rep.layer_intensity = plan_layer_intensity(plan);
   return rep;
@@ -512,7 +580,7 @@ Report Session::run_stream(const WorkStream& stream,
   // other run).
   soc_->reset_all();
   if (trace_sink_) trace_sink_->clear();
-  const CoreResult r = soc_->run(stream);
+  const CoreResult r = soc_->run(stream, collector());
   return make_report(model_name, cpu_baseline, {r});
 }
 
@@ -530,7 +598,8 @@ Report Session::run_multicore(const Model& model) {
         lowering::emit_stream(plans.back(), config().accel, config().cpu));
   }
   for (const auto& l : lowered) streams.push_back(&l.stream);
-  const std::vector<CoreResult> results = soc_->run_parallel(streams);
+  const std::vector<CoreResult> results =
+      soc_->run_parallel(streams, collector());
   last_lowered_ = std::move(lowered.front());
   last_plan_ = std::move(plans.front());
   if (tracing()) traced_plan_ = last_plan_;

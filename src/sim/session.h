@@ -55,7 +55,7 @@
 
 namespace gemmini::sim {
 
-class Session {
+class Session : private RunCollector {
  public:
   /// Fluent configuration for a Session. All setters return *this; build()
   /// validates the assembled SocConfig once and constructs the SoC.
@@ -124,8 +124,8 @@ class Session {
       trace_ = std::move(cfg);
       return *this;
     }
-    /// Attaches the metrics registry (src/metrics/): counters, gauges and
-    /// histograms collected by every timed component, plus (when
+    /// Attaches the metrics registry (src/metrics/): the timed components'
+    /// counts, per-step histograms and workload gauges, plus (when
     /// `cfg.sample_interval_cycles > 0`) cycle-windowed timelines. Like
     /// tracing, metrics are observational only — cycle counts are
     /// bit-identical on and off. Results land in Report::metrics, the
@@ -269,10 +269,13 @@ class Session {
   /// True iff the session was built with `.metrics(...)` and an enabled
   /// config. The registry holds the most recent run (runs reset it first).
   bool metering() const { return metrics_ != nullptr; }
-  /// The live metrics collector. GEMMINI_CHECKs that metering is on.
+  /// The live metrics collector, with the SoC's current counts copied in
+  /// (so work driven outside a run, e.g. accelerator().run(), shows too).
+  /// GEMMINI_CHECKs that metering is on.
   metrics::Metrics& metrics() const;
-  /// The most recent run's registry rendered as OpenMetrics/Prometheus
-  /// exposition text (deterministic). GEMMINI_CHECKs that metering is on.
+  /// The registry, counts copied in as for metrics(), rendered as
+  /// OpenMetrics/Prometheus exposition text (deterministic). GEMMINI_CHECKs
+  /// that metering is on.
   std::string openmetrics() const;
   /// Writes openmetrics() to `path`; returns false on I/O failure.
   bool write_openmetrics(const std::string& path) const;
@@ -315,6 +318,18 @@ class Session {
   EnergyReport derive_energy(Cycle cycles) const;
   trace::PerfettoOptions perfetto_options(int indent) const;
 
+  // ---- Metrics: a metering session collects its SoC's runs ----------------
+  // Registry handles are resolved once per run (and when a new requestor
+  // lengthens Soc::counts()), so neither a window nor a step builds a name.
+  RunCollector* collector() { return metrics_ ? this : nullptr; }
+  Cycle begin_run(const std::vector<const WorkStream*>& streams) override;
+  Cycle advance_to(Cycle t) override;
+  void step_done(unsigned core, std::size_t step, Cycle cycles) override;
+  void finish_run(Cycle t) override;
+  /// Copies the SoC's counts into the registry; resolves handles again
+  /// when `rebind` or the listing grew (within a run it only grows).
+  void pull_counts(bool rebind) const;
+
   bool functional_ = false;
   std::uint64_t seed_ = 1;
   std::shared_ptr<const lowering::PlacementPolicy> placement_;
@@ -324,9 +339,19 @@ class Session {
   // stable across Session moves.
   std::unique_ptr<trace::RingBufferSink> trace_sink_;
   std::unique_ptr<trace::Tracer> tracer_;
-  // Heap-allocated for the same reason as the Tracer: components cache
-  // Counter*/Gauge* handles into the registry, which must survive moves.
+  // Heap-allocated so the resolved registry handles survive moves.
   std::unique_ptr<metrics::Metrics> metrics_;
+  /// The last Soc::counts() listing and its registry handles (a gauge for
+  /// a level, a counter otherwise); a cache, so const readers refresh it.
+  mutable std::vector<SocCount> counts_;
+  mutable std::vector<metrics::Counter*> counters_;
+  mutable std::vector<metrics::Gauge*> gauges_;
+  struct StepSlot {
+    metrics::Histogram* cycles;
+    metrics::Gauge* gauge;  ///< null: the step sets no gauge
+    double gauge_value;
+  };
+  std::vector<std::vector<StepSlot>> steps_;  ///< this run's, [core][step]
   /// The quantized price vector; empty when energy is off.
   std::optional<energy::Rates> energy_rates_;
   /// SoC finish of the most recent run (drives the Perfetto power track's

@@ -9,6 +9,10 @@
 // time order: at every scheduling decision, the core whose next event is
 // earliest advances by one instruction, so the accelerators contend for the
 // shared L2/bus/DRAM with cycle-level interleaving.
+//
+// Telemetry is pulled: the timed components keep only plain Stats,
+// counts() names each of them, and a RunCollector passed to run_parallel()
+// (a metering sim::Session) reads that listing when it asks to.
 
 #include <map>
 #include <memory>
@@ -20,7 +24,6 @@
 #include "src/cpu/cost_model.h"
 #include "src/fault/fault.h"
 #include "src/mem/memsys.h"
-#include "src/metrics/metrics.h"
 #include "src/runtime/workstream.h"
 #include "src/trace/trace.h"
 #include "src/vm/page_table.h"
@@ -62,6 +65,38 @@ struct SocConfig {
   static SocConfig big_l2();
 };
 
+/// One entry of Soc::counts(): a component's count under its telemetry
+/// name, `prefix`, then `index` when it is >= 0, then `suffix` ("dram.ch"
+/// 1 ".bytes", "l2" -1 ".hits").
+struct SocCount {
+  const char* prefix;
+  int index;
+  const char* suffix;
+  std::uint64_t value;
+  /// A level read at the moment of listing (a queue size), not a total.
+  bool level = false;
+
+  std::string name() const;
+};
+
+/// Observes one run_parallel() call from the SoC's event-merge loop.
+/// Observational only: nothing it does feeds back into timing.
+class RunCollector {
+ public:
+  virtual ~RunCollector() = default;
+  /// Before the first event (per-run counts already restarted). Returns the
+  /// first frontier cycle advance_to() wants; kCycleMax means never.
+  virtual Cycle begin_run(const std::vector<const WorkStream*>& streams) = 0;
+  /// The non-decreasing event-merge frontier reached `t` (at or past the
+  /// last returned cycle), before work at `t` issues. Returns the next one.
+  virtual Cycle advance_to(Cycle t) = 0;
+  /// Core `core` completed step `step` of its stream in `cycles` cycles.
+  virtual void step_done(unsigned core, std::size_t step, Cycle cycles) = 0;
+  /// All cores are done and the DRAM write queues drained; the run ends
+  /// at `t`.
+  virtual void finish_run(Cycle t) = 0;
+};
+
 /// Result of running one stream on one core.
 struct CoreResult {
   Cycle finish = 0;
@@ -77,12 +112,7 @@ class Soc {
   /// unit, translation) and the SoC-level step/OS accounting. The SoC sets
   /// the tracer's (core, layer) context before advancing a core, so events
   /// on shared substrate are attributed to the issuing core.
-  /// `metrics` follows the same contract (null = metrics off, observational
-  /// only): components register their counters/gauges at construction and
-  /// the SoC drives the TimeSeriesSampler from the event-merge frontier,
-  /// which is non-decreasing — so timelines are deterministic.
-  explicit Soc(const SocConfig& cfg, trace::Tracer* tracer = nullptr,
-               metrics::Metrics* metrics = nullptr);
+  explicit Soc(const SocConfig& cfg, trace::Tracer* tracer = nullptr);
 
   /// Per-core process address space (create one per stream you lower).
   AddressSpace& address_space(unsigned core) { return *spaces_[core]; }
@@ -95,19 +125,23 @@ class Soc {
   fault::Injector* fault_injector() { return injector_.get(); }
   const fault::Injector* fault_injector() const { return injector_.get(); }
 
-  /// The attached metrics handle, or nullptr when metrics are off.
-  metrics::Metrics* metrics() { return metrics_; }
-  const metrics::Metrics* metrics() const { return metrics_; }
-
   void set_functional(bool functional);
 
+  /// Refills `out` with every count telemetry reads — L2, buses, DRAM
+  /// channels, each core, plus a group per bus/DRAM requestor seen since
+  /// reset_time (so within a run the listing only grows). The one place
+  /// these counters are named.
+  void counts(std::vector<SocCount>& out) const;
+
   /// Runs one stream on core 0 (convenience).
-  CoreResult run(const WorkStream& stream);
+  CoreResult run(const WorkStream& stream, RunCollector* collector = nullptr);
 
   /// Runs one stream per core concurrently; streams.size() must be <=
-  /// cores. Returns one result per stream.
+  /// cores. Returns one result per stream. `collector` (may be null)
+  /// observes the run.
   std::vector<CoreResult> run_parallel(
-      const std::vector<const WorkStream*>& streams);
+      const std::vector<const WorkStream*>& streams,
+      RunCollector* collector = nullptr);
 
   /// Resets timing state (buses, banks, accelerator timelines) but keeps
   /// cache contents and data; call between repetitions.
@@ -131,12 +165,11 @@ class Soc {
 
   /// Advances `core` by one unit of work (a CPU step, or one accelerator
   /// instruction). Returns the core's next event time.
-  Cycle advance(CoreExec& ce, unsigned core);
+  Cycle advance(CoreExec& ce, unsigned core, RunCollector* collector);
   void maybe_os_switch(CoreExec& ce, unsigned core);
 
   SocConfig cfg_;
   trace::Tracer* tracer_;
-  metrics::Metrics* metrics_;
   /// Built before mem_ / the accelerators so it can be threaded through
   /// their constructors; null when faults are disabled.
   std::unique_ptr<fault::Injector> injector_;

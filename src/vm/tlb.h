@@ -6,7 +6,8 @@
 // read/write (the paper reports 87% of consecutive reads and 83% of
 // consecutive writes touch the same page, motivating the filter registers of
 // Fig. 8b). The windowed miss rate of Fig. 4 comes from the metrics
-// sampler's "core<N>.tlb.*" timelines, not from the TLB itself.
+// sampler's timelines of these counts (Soc::counts lists them), not from
+// the TLB itself.
 
 #include <cstdint>
 #include <optional>

@@ -5,8 +5,7 @@ namespace gemmini {
 TranslationSystem::TranslationSystem(const TranslationConfig& cfg,
                                      PageTableWalker& ptw,
                                      trace::Tracer* tracer,
-                                     fault::Injector* injector,
-                                     metrics::Metrics* metrics, int core)
+                                     fault::Injector* injector)
     : cfg_(cfg),
       private_(cfg.private_tlb),
       ptw_(ptw),
@@ -14,12 +13,6 @@ TranslationSystem::TranslationSystem(const TranslationConfig& cfg,
       injector_(injector) {
   if (cfg_.l2_tlb_present && cfg_.l2_tlb.entries > 0) {
     l2_.emplace(cfg_.l2_tlb);
-  }
-  if (metrics != nullptr && core >= 0) {
-    const std::string p = "core" + std::to_string(core) + ".tlb";
-    m_hits_ = &metrics->registry().counter(p + ".hits");
-    m_misses_ = &metrics->registry().counter(p + ".misses");
-    m_filter_hits_ = &metrics->registry().counter(p + ".filter_hits");
   }
 }
 
@@ -40,7 +33,6 @@ Translation TranslationSystem::translate(const AddressSpace& as, VAddr va,
     FilterReg& f = is_write ? write_filter_ : read_filter_;
     if (f.valid && f.vpn == vpn) {
       ++stats_.filter_hits;
-      if (m_filter_hits_ != nullptr) m_filter_hits_->add();
       out.paddr = f.ppn_base | page_offset(va);
       out.done = t;  // 0-cycle hit
       out.level = TranslationLevel::kFilterRegister;
@@ -54,9 +46,7 @@ Translation TranslationSystem::translate(const AddressSpace& as, VAddr va,
     now += cfg_.private_tlb.hit_latency;
     ppn_base = *ppn;
     out.level = TranslationLevel::kPrivateTlb;
-    if (m_hits_ != nullptr) m_hits_->add();
   } else {
-    if (m_misses_ != nullptr) m_misses_->add();
     now += cfg_.private_tlb.hit_latency;  // discover the miss first
     bool filled = false;
     if (l2_) {

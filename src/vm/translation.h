@@ -13,7 +13,6 @@
 
 #include "src/base/types.h"
 #include "src/fault/fault.h"
-#include "src/metrics/metrics.h"
 #include "src/trace/trace.h"
 #include "src/vm/page_table.h"
 #include "src/vm/ptw.h"
@@ -53,14 +52,10 @@ class TranslationSystem {
 
   /// `ptw` may be shared with other translation systems (multi-core SoCs
   /// share the single walker, and CPUs contend for it). `tracer` (may be
-  /// null) receives TLB-miss and page-walk spans. `metrics` (may be null)
-  /// registers "core<core>.tlb.{hits,misses,filter_hits}"; the translation
-  /// system has no RequestorId of its own, so the owning accelerator passes
-  /// its core index (`core` < 0 skips registration).
+  /// null) receives TLB-miss and page-walk spans.
   TranslationSystem(const TranslationConfig& cfg, PageTableWalker& ptw,
                     trace::Tracer* tracer = nullptr,
-                    fault::Injector* injector = nullptr,
-                    metrics::Metrics* metrics = nullptr, int core = -1);
+                    fault::Injector* injector = nullptr);
 
   Translation translate(const AddressSpace& as, VAddr va, bool is_write,
                         Cycle t);
@@ -88,9 +83,6 @@ class TranslationSystem {
   PageTableWalker& ptw_;
   trace::Tracer* tracer_;
   fault::Injector* injector_;
-  metrics::Counter* m_hits_ = nullptr;
-  metrics::Counter* m_misses_ = nullptr;
-  metrics::Counter* m_filter_hits_ = nullptr;
   Stats stats_;
 
   struct FilterReg {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 
 #include "src/dnn/zoo.h"
@@ -288,6 +289,55 @@ TEST(SimSweep, InvalidPointFailsDeterministically) {
   } catch (const RuntimeError& e) {
     EXPECT_NE(std::string(e.what()).find("bad"), std::string::npos);
   }
+}
+
+TEST(SimSweep, RejectsTracedServePoints) {
+  // serve::Server never reads SweepPoint::trace: a traced serve point would
+  // silently produce no trace.
+  sim::SweepPoint p{.name = "served",
+                    .config = SocConfig{},
+                    .model = zoo::squeezenet_v11(48)};
+  p.serve.enabled = true;
+  p.trace = trace::TraceConfig::enabled_default();
+  sim::Sweep sweep;
+  sweep.add(std::move(p));
+  EXPECT_THROW(sweep.run(), ConfigError);
+}
+
+TEST(SimSweep, RejectsSharedTraceExportPath) {
+  trace::TraceConfig tc = trace::TraceConfig::enabled_default();
+  tc.export_path = "sim_test_shared_trace.json";
+  sim::Sweep sweep;
+  for (const char* name : {"a", "b"}) {
+    sim::SweepPoint p{
+        .name = name, .config = SocConfig{}, .model = zoo::squeezenet_v11(48)};
+    p.trace = tc;
+    sweep.add(std::move(p));
+  }
+  try {
+    sweep.run({.threads = 2});
+    FAIL() << "two points writing one trace file should not run";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'b'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SimSweep, RejectsSharedMetricsExportPath) {
+  // Experiment::metrics() copies its config into every point, so a grid
+  // with an export path would write one OpenMetrics file from several
+  // workers.
+  metrics::MetricsConfig mc = metrics::MetricsConfig::enabled_default();
+  mc.export_path = "sim_test_shared_metrics.txt";
+  sim::Experiment exp;
+  exp.models({zoo::squeezenet_v11(48), zoo::mobilenet_v2(48)}).metrics(mc);
+  EXPECT_THROW(exp.run({.threads = 2}), ConfigError);
+  // One point alone may export.
+  sim::Experiment single;
+  single.model(zoo::squeezenet_v11(32)).metrics(mc);
+  EXPECT_EQ(single.sweep().size(), 1u);
+  EXPECT_NO_THROW(single.sweep().run());
+  std::remove(mc.export_path.c_str());
 }
 
 TEST(SimExperiment, GridExpansionNamesAxes) {
