@@ -211,6 +211,7 @@ Cycle Session::begin_run(const std::vector<const WorkStream*>& streams) {
   std::map<std::string_view, metrics::Histogram*> by_tag;
   steps_.assign(streams.size(), {});
   for (std::size_t c = 0; c < streams.size(); ++c) {
+    steps_[c].reserve(streams[c]->steps.size());
     for (const WorkStep& step : streams[c]->steps) {
       metrics::Histogram*& h = by_tag[step.tag];
       if (h == nullptr) h = &reg.histogram("step_cycles." + step.tag);

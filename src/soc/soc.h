@@ -129,8 +129,8 @@ class Soc {
 
   /// Refills `out` with every count telemetry reads — L2, buses, DRAM
   /// channels, each core, plus a group per bus/DRAM requestor seen since
-  /// reset_time (so within a run the listing only grows). The one place
-  /// these counters are named.
+  /// reset_time (so within a run the listing only grows). The components
+  /// never name their counts; this does.
   void counts(std::vector<SocCount>& out) const;
 
   /// Runs one stream on core 0 (convenience).
