@@ -1,67 +1,56 @@
-// Simulator-throughput perf harness (PR 1's hot-path overhaul, PR 2's
-// facade migration).
+// Gate harness for the simulator: the one place each benchmark gate is
+// decided. Every mode runs its gates, writes one JSON record, and exits
+// nonzero if any gate fails. scripts/run_bench.sh only builds this binary,
+// runs one mode, and checks that the record parses as JSON.
 //
-// Runs a fixed workload mix and reports, per workload, simulated cycles,
-// host wall time, and simulated-cycles-per-second — the number that bounds
-// how many design-space scenarios a sweep can cover. Also measures the
-// blocked CPU GEMM kernels against the retained naive loops (the in-PR
-// speedup baseline) and verifies bit-exact equivalence while doing so.
+//   $ ./bench_perf [MODE] [out.json]
 //
-// Every simulator workload stands its system up through `sim::Session`; the
-// cycle counts are pinned by scripts/golden_cycles.json, so the facade is
-// proven to be a zero-cost re-plumbing of the old hand-wired harness.
+// Before any mode, golden_gate() runs the three golden workloads once each
+// (a 320^3 tiled matmul, a 56x56x64 3x3 conv, and resnet50(32) on
+// base_1mb_l2 with im2col) and compares their simulated cycles with
+// scripts/golden_cycles.json, read at run time. A drift fails every mode:
+// a change that moves them changed timing semantics, not host speed.
 //
-//   $ ./bench_perf [out.json]             # default out: BENCH_PR1.json
-//   $ ./bench_perf --sweep [out.json]     # parallel-sweep mode, default
-//                                         # out: BENCH_PR2.json
-//   $ ./bench_perf --plan [out.json]      # tiling-policy comparison mode,
-//                                         # default out: BENCH_PR3.json
-//   $ ./bench_perf --trace [trace.json]   # cycle-level trace mode, default
-//                                         # out: trace.json
-//   $ ./bench_perf --faults [out.json]    # fault-injection resilience gates,
-//                                         # default out: BENCH_PR6.json
-//   $ ./bench_perf --serve [out.json]     # serving-layer tail-latency and
-//                                         # goodput gates, default out:
-//                                         # BENCH_PR7.json
-//   $ ./bench_perf --llm [out.json]       # KV-cache-resident decode gates
-//                                         # (scheduler gain vs the conv zoo,
-//                                         # channel scaling), default out:
-//                                         # BENCH_PR8.json
-//   $ ./bench_perf --metrics [out.json]   # telemetry gates (metrics-off
-//                                         # golden-cycle identity, <= 5%
-//                                         # metrics-on overhead, exact
-//                                         # sampler reconciliation), default
-//                                         # out: BENCH_PR9.json
-//   $ ./bench_perf --energy [out.json]    # energy gates (energy-on golden-
-//                                         # cycle identity, exact power-
-//                                         # timeline reconciliation, FR-FCFS
-//                                         # DRAM-energy win, search-vs-
-//                                         # exhaustive optimum), default
-//                                         # out: BENCH_PR10.json
+//   MODE       default out      gates
+//   (none)     BENCH_PR1.json   blocked int8 GEMM >= 5x the naive loops
+//                               (median of 7 interleaved pairs) and
+//                               bit-exact; simulator throughput on the
+//                               golden workloads, best of 3 cold runs
+//   --sweep    BENCH_PR2.json   the 9-point Fig. 9 grid on 4 threads is
+//                               byte-identical to the serial run
+//   --plan     BENCH_PR3.json   ExhaustiveTiling never models more DMA
+//                               traffic than HeuristicTiling on the zoo
+//   --trace    trace.json       tracing moves no cycle; every bottleneck
+//                               row sums to its layer span
+//   --dram     BENCH_PR5.json   FR-FCFS never slower than FCFS on the zoo
+//                               (2 channels, write queue, refresh)
+//   --faults   BENCH_PR6.json   armed zero-rate faults keep the golden; an
+//                               ECC campaign corrects every single-bit
+//                               flip; a poisoned sweep point is isolated
+//   --serve    BENCH_PR7.json   load->0 latency equals Session::run; >= 3
+//                               offered loads, ordered percentiles, bounded
+//                               goodput; identical across thread counts
+//   --llm      BENCH_PR8.json   batch-1 decode gains more from FR-FCFS than
+//                               every conv model; cycles/token falls over
+//                               1 -> 2 -> 4 channels
+//   --metrics  BENCH_PR9.json   metrics move no golden cycle; <= 5%
+//                               overhead (median of 7 pairs); at least one
+//                               counter timeline, each summing to its
+//                               total; a monotone decode KV timeline
+//   --energy   BENCH_PR10.json  energy moves no golden cycle; the power
+//                               timeline sums to the total; FR-FCFS never
+//                               spends more DRAM energy; the search finds
+//                               the exhaustive optimum; the femtojoule
+//                               figures equal the pinned values
 //
-// Trace mode runs the quickstart model (scaled SqueezeNet) twice — once
-// untraced, once with the src/trace/ recorder attached — asserts the cycle
-// counts are bit-identical (tracing is observational only), checks every
-// bottleneck row's components sum exactly to its layer span, prints the
-// bottleneck table, and writes the Perfetto-loadable trace.json.
-//
-// Plan mode compiles the scaled model zoo under the paper's greedy
-// HeuristicTiling and the search-based ExhaustiveTiling, compares modeled
-// DMA traffic and simulated cycles per policy, and fails if the exhaustive
-// search is ever worse than the heuristic on its own objective.
-//
-// Sweep mode fans a 9-point config grid (Fig. 9 Base/BigSP/BigL2 x three
-// scaled DNNs) across 4 worker threads via `sim::Sweep`, byte-compares the
-// reports against a serial run of the same grid, and emits the structured
-// JSON reports. The default mode's JSON remains the perf-trajectory record:
-// scripts/run_bench.sh diffs its simulated cycle counts against
-// scripts/golden_cycles.json so perf PRs cannot silently change timing
-// semantics.
+// Any other flag prints the usage and exits 2 before simulating anything.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -110,22 +99,177 @@ AbTiming time_ab_ms(int pairs, A&& a, B&& b) {
 /// pair).
 constexpr int kAbPairs = 7;
 
-/// One functional single-core session per measurement: every run starts
-/// from the exact cold state the seed simulator would see, so the cycle
-/// count is deterministic (warm TLB / PTE-cache / bus state cannot leak
-/// between reps).
-sim::Session make_session(GemminiConfig accel = GemminiConfig::paper_default()) {
-  return sim::Session::builder()
-      .accel(std::move(accel))
-      .functional(true)
-      .build();
-}
-
 VAddr upload_bytes(sim::Session& s, const void* data, std::uint64_t bytes) {
   const VAddr va = s.address_space().alloc(bytes + 4096);
   s.address_space().write_virt(va, data, bytes);
   return va;
 }
+
+// ---- Golden workloads ------------------------------------------------------
+
+// Their names in scripts/golden_cycles.json and in the perf-mode record.
+constexpr const char* kMatmul = "accel_tiled_matmul";
+constexpr const char* kConv = "accel_conv3x3_56x56x64";
+constexpr const char* kResnet = "resnet50_slice_32";
+
+/// Instruments a golden run attaches to its session. Both only observe, so
+/// neither may move a cycle.
+struct Attach {
+  const metrics::MetricsConfig* metrics = nullptr;
+  const energy::EnergyConfig* energy = nullptr;
+};
+
+sim::Session build_session(sim::Session::Builder b, const Attach& with) {
+  if (with.metrics != nullptr) b.metrics(*with.metrics);
+  if (with.energy != nullptr) b.energy(*with.energy);
+  return b.build();
+}
+
+/// One run of a golden workload on a fresh session: every run starts from
+/// the same cold state, so its cycle count is deterministic (warm TLB /
+/// PTE-cache / bus state cannot leak between runs).
+struct GoldenRun {
+  Cycle cycles = 0;
+  double wall_ms = 0.0;  // the accelerator run (kernels), build + run (resnet)
+  bool match = true;     // functional output equals the reference kernel
+  sim::Report report;    // resnet only
+};
+
+/// 320^3 tiled int8 matmul on the paper-default accelerator, functional;
+/// the output is checked against the blocked reference kernel.
+GoldenRun run_matmul(const Attach& with = {}) {
+  constexpr std::uint64_t kDim = 320;
+  Rng rng(7);
+  TensorI8 a({kDim, kDim}), b({kDim, kDim});
+  a.randomize(rng);
+  b.randomize(rng);
+  sim::Session s = build_session(sim::Session::builder()
+                                     .accel(GemminiConfig::paper_default())
+                                     .functional(true),
+                                 with);
+  MatmulParams p;
+  p.a = upload_bytes(s, a.data(), a.size());
+  p.b = upload_bytes(s, b.data(), b.size());
+  p.c = s.address_space().alloc(kDim * kDim + 8192);
+  p.m = p.k = p.n = kDim;
+  p.out_shift = 7;
+  p.act = Activation::kRelu;
+  const Program prog = emit_tiled_matmul(s.config().accel, p);
+
+  GoldenRun r;
+  const double t0 = now_ms();
+  r.cycles = s.accelerator().run(prog, s.address_space());
+  r.wall_ms = now_ms() - t0;
+  TensorI8 got({kDim, kDim}), expect({kDim, kDim});
+  s.address_space().read_virt(p.c, got.data(), got.size());
+  ref::gemm_i8(a, b, nullptr, expect, 7, Activation::kRelu);
+  r.match = got == expect;
+  return r;
+}
+
+/// ResNet-stage-2-shaped layer: 56x56x64 -> 56x56x64, 3x3 stride 1 pad 1,
+/// through the im2col unit, functional.
+GoldenRun run_conv(const Attach& with = {}) {
+  Rng rng(11);
+  ConvShape shape;
+  shape.ih = shape.iw = 56;
+  shape.ic = shape.oc = 64;
+  shape.kh = shape.kw = 3;
+  shape.stride = 1;
+  shape.padding = 1;
+  TensorI8 in({1, shape.ih, shape.iw, shape.ic});
+  TensorI8 w({static_cast<std::size_t>(shape.patch_cols()), shape.oc});
+  in.randomize(rng);
+  w.randomize(rng);
+  GemminiConfig cfg = GemminiConfig::paper_default();
+  cfg.has_im2col = true;
+  sim::Session s = build_session(
+      sim::Session::builder().accel(std::move(cfg)).functional(true), with);
+  ConvBuffers buf;
+  buf.input = upload_bytes(s, in.data(), in.size());
+  buf.weights = upload_bytes(s, w.data(), w.size());
+  buf.output = s.address_space().alloc(shape.out_rows() * shape.oc + 8192);
+  buf.im2col_scratch = s.address_space().alloc(shape.im2col_bytes(1) + 8192);
+  const ConvPlan plan =
+      emit_conv(s.config().accel, shape, buf, 7, Activation::kRelu);
+
+  GoldenRun r;
+  const double t0 = now_ms();
+  r.cycles = s.accelerator().run(plan.program, s.address_space());
+  r.wall_ms = now_ms() - t0;
+  return r;
+}
+
+/// `model` (resnet50(32)) on base_1mb_l2 with im2col through the
+/// push-button Session flow; SoC elaboration and lowering are timed with
+/// the run. Functional runs use seed 7.
+GoldenRun run_resnet(const Model& model, bool functional,
+                     const Attach& with = {}) {
+  SocConfig cfg = SocConfig::base_1mb_l2();
+  cfg.accel.has_im2col = true;
+  GoldenRun r;
+  const double t0 = now_ms();
+  auto b = sim::Session::builder(cfg);
+  if (functional) b.functional(true).seed(7);
+  sim::Session s = build_session(b, with);
+  r.report = s.run(model);
+  r.wall_ms = now_ms() - t0;
+  r.cycles = r.report.cycles;
+  return r;
+}
+
+/// The golden cycle counts, as scripts/golden_cycles.json pins them.
+struct Golden {
+  Cycle matmul = 0, conv = 0, resnet = 0;
+};
+
+/// Reads scripts/golden_cycles.json (found through the GEMMINI_SOURCE_DIR
+/// compile definition) into `want`, runs each golden workload once, and
+/// reports whether every cycle count matches.
+bool golden_gate(Golden* want) {
+  const std::string path =
+      std::string(GEMMINI_SOURCE_DIR) + "/scripts/golden_cycles.json";
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  if (text.empty()) {
+    std::printf("FAIL: cannot read %s\n", path.c_str());
+    return false;
+  }
+  auto read = [&](const std::string& key) -> Cycle {
+    const std::size_t at = text.find("\"" + key + "\"");
+    const std::size_t colon =
+        at == std::string::npos ? at : text.find(':', at);
+    return colon == std::string::npos
+               ? 0
+               : std::strtoull(text.c_str() + colon + 1, nullptr, 10);
+  };
+  *want = {read(kMatmul), read(kConv), read(kResnet)};
+
+  const Model resnet = zoo::resnet50(32);
+  const struct {
+    const char* name;
+    Cycle want, got;
+  } rows[] = {
+      {kMatmul, want->matmul, run_matmul().cycles},
+      {kConv, want->conv, run_conv().cycles},
+      {kResnet, want->resnet, run_resnet(resnet, true).cycles},
+  };
+  bool ok = true;
+  for (const auto& r : rows) {
+    std::printf("golden %-24s %10llu cycles  (%s %llu)\n", r.name,
+                static_cast<unsigned long long>(r.got),
+                r.got == r.want ? "ok," : "DIVERGED from",
+                static_cast<unsigned long long>(r.want));
+    ok = ok && r.got == r.want;
+  }
+  std::printf("%s\n\n", ok ? "all golden cycle counts match"
+                           : "FAIL: simulated cycle counts diverged from "
+                             "scripts/golden_cycles.json");
+  return ok;
+}
+
+// ---- Perf mode: kernel A/B + simulator throughput --------------------------
 
 struct Entry {
   std::string name;
@@ -135,7 +279,7 @@ struct Entry {
   bool match = true;
 };
 
-// ---- CPU kernel A/B: blocked vs retained naive loops -----------------------
+// CPU kernel A/B: blocked vs retained naive loops.
 
 Entry kernel_matmul_i8(std::size_t m, std::size_t k, std::size_t n) {
   Rng rng(42);
@@ -185,127 +329,25 @@ Entry kernel_matmul_f32(std::size_t m, std::size_t k, std::size_t n) {
   return e;
 }
 
-// ---- Simulator workloads ---------------------------------------------------
-
-Entry accel_tiled_matmul(std::uint64_t m, std::uint64_t k, std::uint64_t n) {
-  Rng rng(7);
-  TensorI8 a({m, k}), b({k, n});
-  a.randomize(rng);
-  b.randomize(rng);
-
+/// Simulator throughput: the best wall time of 3 runs of a golden workload,
+/// whose cycle count must not vary across runs.
+template <typename Run>
+Entry best_of_3(const char* name, Run run) {
   Entry e;
-  e.name = "accel_tiled_matmul";
-  e.wall_ms = 1e300;
-  TensorI8 got({m, n});
-  for (int rep = 0; rep < 3; ++rep) {
-    sim::Session s = make_session();
-    MatmulParams p;
-    p.a = upload_bytes(s, a.data(), a.size());
-    p.b = upload_bytes(s, b.data(), b.size());
-    p.c = s.address_space().alloc(m * n + 8192);
-    p.m = m;
-    p.k = k;
-    p.n = n;
-    p.out_shift = 7;
-    p.act = Activation::kRelu;
-    const Program prog = emit_tiled_matmul(s.config().accel, p);
-
-    const double t0 = now_ms();
-    const Cycle cycles = s.accelerator().run(prog, s.address_space());
-    e.wall_ms = std::min(e.wall_ms, now_ms() - t0);
-    GEMMINI_CHECK_MSG(rep == 0 || cycles == e.sim_cycles,
-                      "nondeterministic cycle count");
-    e.sim_cycles = cycles;
-    s.address_space().read_virt(p.c, got.data(), got.size());
-  }
-
-  // Functional cross-check against the blocked reference kernel.
-  TensorI8 expect({m, n});
-  ref::gemm_i8(a, b, nullptr, expect, 7, Activation::kRelu);
-  e.match = got == expect;
-
-  std::printf("%-28s %12llu cycles  %8.2f ms  %10.1f Mcyc/s  %s\n",
-              e.name.c_str(), static_cast<unsigned long long>(e.sim_cycles),
-              e.wall_ms, static_cast<double>(e.sim_cycles) / e.wall_ms / 1e3,
-              e.match ? "exact" : "MISMATCH");
-  return e;
-}
-
-Entry accel_conv3x3() {
-  Rng rng(11);
-
-  // ResNet-stage-2-shaped layer: 56x56x64 -> 56x56x64, 3x3 stride 1 pad 1.
-  ConvShape shape;
-  shape.ih = shape.iw = 56;
-  shape.ic = shape.oc = 64;
-  shape.kh = shape.kw = 3;
-  shape.stride = 1;
-  shape.padding = 1;
-
-  TensorI8 in({1, shape.ih, shape.iw, shape.ic});
-  TensorI8 w({static_cast<std::size_t>(shape.patch_cols()), shape.oc});
-  in.randomize(rng);
-  w.randomize(rng);
-
-  Entry e;
-  e.name = "accel_conv3x3_56x56x64";
+  e.name = name;
   e.wall_ms = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
-    GemminiConfig cfg = GemminiConfig::paper_default();
-    cfg.has_im2col = true;
-    sim::Session s = make_session(cfg);
-    ConvBuffers buf;
-    buf.input = upload_bytes(s, in.data(), in.size());
-    buf.weights = upload_bytes(s, w.data(), w.size());
-    buf.output = s.address_space().alloc(shape.out_rows() * shape.oc + 8192);
-    buf.im2col_scratch = s.address_space().alloc(shape.im2col_bytes(1) + 8192);
-    const ConvPlan plan =
-        emit_conv(s.config().accel, shape, buf, 7, Activation::kRelu);
-
-    const double t0 = now_ms();
-    const Cycle cycles = s.accelerator().run(plan.program, s.address_space());
-    e.wall_ms = std::min(e.wall_ms, now_ms() - t0);
-    GEMMINI_CHECK_MSG(rep == 0 || cycles == e.sim_cycles,
-                      "nondeterministic cycle count");
-    e.sim_cycles = cycles;
-  }
-
-  std::printf("%-28s %12llu cycles  %8.2f ms  %10.1f Mcyc/s\n",
-              e.name.c_str(), static_cast<unsigned long long>(e.sim_cycles),
-              e.wall_ms, static_cast<double>(e.sim_cycles) / e.wall_ms / 1e3);
-  return e;
-}
-
-Entry resnet_slice() {
-  // "ResNet-ish slice": the full zoo ResNet-50 topology at reduced 32x32
-  // resolution, functional, through the push-button Session flow. Like the
-  // other simulator workloads: best of 3 reps, each on a fresh cold
-  // session (SoC elaboration + lowering are part of the timed push-button
-  // flow), with the cycle count checked for determinism across reps.
-  SocConfig cfg = SocConfig::base_1mb_l2();
-  cfg.accel.has_im2col = true;
-
-  Entry e;
-  e.name = "resnet50_slice_32";
-  e.wall_ms = 1e300;
-  const Model model = zoo::resnet50(32);
-
-  for (int rep = 0; rep < 3; ++rep) {
-    const double t0 = now_ms();
-    sim::Session session = sim::Session::builder(cfg)
-                               .functional(true)
-                               .seed(7)
-                               .build();
-    const sim::Report r = session.run(model);
-    e.wall_ms = std::min(e.wall_ms, now_ms() - t0);
+    const GoldenRun r = run();
+    e.wall_ms = std::min(e.wall_ms, r.wall_ms);
     GEMMINI_CHECK_MSG(rep == 0 || r.cycles == e.sim_cycles,
                       "nondeterministic cycle count");
     e.sim_cycles = r.cycles;
+    e.match = e.match && r.match;
   }
-
-  std::printf("%-28s %12llu cycles  %8.2f ms  %10.1f Mcyc/s\n",
+  std::printf("%-28s %12llu cycles  %8.2f ms  %10.1f Mcyc/s%s\n",
               e.name.c_str(), static_cast<unsigned long long>(e.sim_cycles),
-              e.wall_ms, static_cast<double>(e.sim_cycles) / e.wall_ms / 1e3);
+              e.wall_ms, static_cast<double>(e.sim_cycles) / e.wall_ms / 1e3,
+              e.match ? "" : "  MISMATCH");
   return e;
 }
 
@@ -329,9 +371,42 @@ bool write_json(const std::string& path, const std::vector<Entry>& entries) {
   return out.good();
 }
 
+int run_perf(const std::string& out_path, const Golden&) {
+  std::printf("=== bench_perf: kernel A/B + simulator throughput ===\n\n");
+
+  const Model resnet = zoo::resnet50(32);
+  const std::vector<Entry> entries = {
+      kernel_matmul_i8(512, 512, 512),
+      kernel_matmul_f32(512, 512, 512),
+      best_of_3(kMatmul, [] { return run_matmul(); }),
+      best_of_3(kConv, [] { return run_conv(); }),
+      best_of_3(kResnet, [&] { return run_resnet(resnet, true); }),
+  };
+
+  bool ok = write_json(out_path, entries);
+  std::printf("\n%s %s\n", ok ? "wrote" : "ERROR: could not write",
+              out_path.c_str());
+  for (const auto& e : entries) ok = ok && e.match;
+  // The kernel gate: the blocked int8 matmul kernel (the paper's inference
+  // pipeline) must beat the naive loops by >= 5x, as the median of the
+  // interleaved per-pair ratios, and stay bit-exact. The fp32 kernel is
+  // reported but not gated: its per-output serial FMA chain (required for
+  // bit-exact accumulation order) caps the achievable speedup near 3x.
+  for (const auto& e : entries) {
+    if (e.name.rfind("kernel_matmul_i8", 0) == 0 && e.speedup_vs_naive > 0 &&
+        e.speedup_vs_naive < 5.0) {
+      std::printf("FAIL: %s speedup %.2fx < 5x\n", e.name.c_str(),
+                  e.speedup_vs_naive);
+      ok = false;
+    }
+  }
+  if (!ok) std::printf("FAIL: mismatches or insufficient speedup\n");
+  return ok ? 0 : 1;
+}
+
 // ---- Sweep mode ------------------------------------------------------------
 
-int run_sweep(const std::string& out_path) {
+int run_sweep(const std::string& out_path, const Golden&) {
   std::printf("=== bench_perf --sweep: parallel design-space sweep ===\n\n");
 
   // Fig. 9's three memory-partitioning configs x three scaled DNNs = 9
@@ -392,7 +467,7 @@ int run_sweep(const std::string& out_path) {
 
 // ---- Plan mode: Heuristic vs Exhaustive tiling -----------------------------
 
-int run_plan_compare(const std::string& out_path) {
+int run_plan_compare(const std::string& out_path, const Golden&) {
   std::printf("=== bench_perf --plan: tiling-policy comparison ===\n\n");
 
   SocConfig cfg = SocConfig::base_1mb_l2();
@@ -464,7 +539,7 @@ int run_plan_compare(const std::string& out_path) {
 
 // ---- DRAM mode: controller scheduling comparison ---------------------------
 
-int run_dram(const std::string& out_path) {
+int run_dram(const std::string& out_path, const Golden&) {
   std::printf("=== bench_perf --dram: FR-FCFS vs FCFS on the model zoo ===\n\n");
 
   // A realistic contended memory system: 2 channels, XOR-folded line
@@ -527,23 +602,12 @@ int run_dram(const std::string& out_path) {
               never_slower ? "<=" : "EXCEEDS");
 
   // The golden configuration (1 channel, FCFS, no refresh, write-through)
-  // must be untouched by the controller rewrite; the default-mode harness
-  // already diffs it against scripts/golden_cycles.json, but assert the
-  // headline model here too so --dram stands alone.
-  SocConfig golden_cfg = SocConfig::base_1mb_l2();
-  golden_cfg.accel.has_im2col = true;
-  sim::Session golden_session = sim::Session::builder(golden_cfg).build();
-  const Cycle golden = golden_session.run(zoo::resnet50(32)).cycles;
-  const bool golden_ok = golden == 9355595u;
-  std::printf("golden config resnet50_slice_32: %llu cycles (%s)\n",
-              static_cast<unsigned long long>(golden),
-              golden_ok ? "unchanged" : "DIVERGED from 9355595");
-
+  // is held by golden_gate(), which passed before this mode ran.
   std::ofstream out(out_path);
   out << "{\n  \"pr\": 5,\n  \"config\": \"" << base.name
       << "\",\n  \"channels\": " << base.mem.dram.channels
       << ",\n  \"frfcfs_never_slower\": " << (never_slower ? "true" : "false")
-      << ",\n  \"golden_unchanged\": " << (golden_ok ? "true" : "false")
+      << ",\n  \"golden_unchanged\": true"
       << ",\n  \"models\": {\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -558,12 +622,12 @@ int run_dram(const std::string& out_path) {
   const bool wrote = out.good();
   std::printf("%s %s\n", wrote ? "wrote" : "ERROR: could not write",
               out_path.c_str());
-  return (never_slower && golden_ok && wrote) ? 0 : 1;
+  return (never_slower && wrote) ? 0 : 1;
 }
 
 // ---- Trace mode: cycle-level profiling artifact ----------------------------
 
-int run_trace(const std::string& out_path) {
+int run_trace(const std::string& out_path, const Golden&) {
   std::printf("=== bench_perf --trace: cycle-level trace + bottlenecks ===\n\n");
 
   SocConfig cfg = SocConfig::base_1mb_l2();
@@ -621,31 +685,30 @@ int run_trace(const std::string& out_path) {
 
 // ---- Faults mode: resilience gates -----------------------------------------
 
-int run_faults(const std::string& out_path) {
+int run_faults(const std::string& out_path, const Golden& golden) {
   std::printf("=== bench_perf --faults: fault-injection resilience gates ===\n\n");
 
   // Gate 1: the zero-fault default is bit-identical to the golden cycle
   // count — both with the fault layer absent (faults.enabled = false, no
   // injector built) and armed-but-idle (injector built, every rate zero:
   // no draws, no perturbation).
-  SocConfig golden_cfg = SocConfig::base_1mb_l2();
-  golden_cfg.accel.has_im2col = true;
-  sim::Session plain = sim::Session::builder(golden_cfg).build();
-  const Cycle golden = plain.run(zoo::resnet50(32)).cycles;
+  const Model resnet = zoo::resnet50(32);
+  const Cycle plain_cycles = run_resnet(resnet, false).cycles;
 
-  SocConfig armed_cfg = golden_cfg;
+  SocConfig armed_cfg = SocConfig::base_1mb_l2();
+  armed_cfg.accel.has_im2col = true;
   armed_cfg.faults.enabled = true;
   armed_cfg.faults.seed = 99;
   sim::Session armed = sim::Session::builder(armed_cfg).build();
-  const Cycle armed_cycles = armed.run(zoo::resnet50(32)).cycles;
+  const Cycle armed_cycles = armed.run(resnet).cycles;
 
-  const bool golden_ok = golden == 9355595u && armed_cycles == golden;
-  std::printf("golden resnet50_slice_32: plain %llu, armed-zero-rate %llu "
-              "(%s)\n",
-              static_cast<unsigned long long>(golden),
+  const bool golden_ok =
+      plain_cycles == golden.resnet && armed_cycles == plain_cycles;
+  std::printf("golden %s: plain %llu, armed-zero-rate %llu (%s %llu)\n",
+              kResnet, static_cast<unsigned long long>(plain_cycles),
               static_cast<unsigned long long>(armed_cycles),
-              golden_ok ? "bit-identical, unchanged"
-                        : "DIVERGED from 9355595");
+              golden_ok ? "bit-identical, unchanged from" : "DIVERGED from",
+              static_cast<unsigned long long>(golden.resnet));
 
   // Gate 2: a seeded ECC-on smoke campaign over single-bit DRAM flips must
   // correct every flip — corrected > 0 and zero silent data corruption.
@@ -705,7 +768,7 @@ int run_faults(const std::string& out_path) {
   std::ofstream out(out_path);
   out << "{\n  \"pr\": 6"
       << ",\n  \"golden_unchanged\": " << (golden_ok ? "true" : "false")
-      << ",\n  \"golden_cycles\": " << golden
+      << ",\n  \"golden_cycles\": " << plain_cycles
       << ",\n  \"armed_zero_rate_cycles\": " << armed_cycles
       << ",\n  \"campaign\": {"
       << "\"runs\": " << rel.campaign_runs
@@ -732,7 +795,7 @@ int run_faults(const std::string& out_path) {
 
 // ---- Serve mode: tail-latency / goodput gates ------------------------------
 
-int run_serve(const std::string& out_path) {
+int run_serve(const std::string& out_path, const Golden&) {
   std::printf("=== bench_perf --serve: serving-layer latency gates ===\n\n");
 
   // 2-core SoC serving the scaled SqueezeNet as a single request class.
@@ -810,9 +873,12 @@ int run_serve(const std::string& out_path) {
   }
   const sim::ServerStats& over = serial.back().server;
   goodput_ok = goodput_ok && over.goodput_per_mcycle < over.offered_per_mcycle;
-  std::printf("\ncapacity %.3f req/Mcyc; percentiles %s, goodput %s, "
-              "reports %s\n",
-              capacity, percentiles_ok ? "ordered" : "OUT OF ORDER",
+  // A curve needs points below, at and above capacity.
+  const bool curve_ok = serial.size() >= 3;
+  std::printf("\ncapacity %.3f req/Mcyc; %zu offered loads%s; percentiles %s, "
+              "goodput %s, reports %s\n",
+              capacity, serial.size(), curve_ok ? "" : " (FEWER THAN 3)",
+              percentiles_ok ? "ordered" : "OUT OF ORDER",
               goodput_ok ? "bounded" : "UNBOUNDED",
               deterministic ? "byte-identical" : "DIVERGED");
 
@@ -843,29 +909,16 @@ int run_serve(const std::string& out_path) {
   const bool wrote = out.good();
   std::printf("%s %s\n", wrote ? "wrote" : "ERROR: could not write",
               out_path.c_str());
-  return (identity_ok && deterministic && percentiles_ok && goodput_ok &&
-          wrote)
+  return (identity_ok && deterministic && curve_ok && percentiles_ok &&
+          goodput_ok && wrote)
              ? 0
              : 1;
 }
 
 // ---- LLM mode: decode-vs-CNN memory-system gates ---------------------------
 
-int run_llm(const std::string& out_path) {
+int run_llm(const std::string& out_path, const Golden&) {
   std::printf("=== bench_perf --llm: KV-cache-resident decode gates ===\n\n");
-
-  // The golden configuration must be untouched by the decode subsystem; the
-  // default-mode harness already diffs the whole zoo against
-  // scripts/golden_cycles.json, but assert the headline model here so --llm
-  // stands alone.
-  SocConfig golden_cfg = SocConfig::base_1mb_l2();
-  golden_cfg.accel.has_im2col = true;
-  sim::Session golden_session = sim::Session::builder(golden_cfg).build();
-  const Cycle golden = golden_session.run(zoo::resnet50(32)).cycles;
-  const bool golden_ok = golden == 9355595u;
-  std::printf("golden config resnet50_slice_32: %llu cycles (%s)\n\n",
-              static_cast<unsigned long long>(golden),
-              golden_ok ? "unchanged" : "DIVERGED from 9355595");
 
   // Shared contended memory system for every run in this suite: the --dram
   // knobs (write queue + periodic refresh, XOR-folded interleave) with a
@@ -969,7 +1022,8 @@ int run_llm(const std::string& out_path) {
 
   std::ofstream out(out_path);
   out << "{\n  \"pr\": 8,\n  \"decode\": \"" << decode.label() << "\""
-      << ",\n  \"golden_unchanged\": " << (golden_ok ? "true" : "false")
+      // golden_gate() held the golden configuration before this mode ran.
+      << ",\n  \"golden_unchanged\": true"
       << ",\n  \"llm_gains_most\": " << (llm_gains_most ? "true" : "false")
       << ",\n  \"channels_monotone\": "
       << (channels_monotone ? "true" : "false")
@@ -993,54 +1047,25 @@ int run_llm(const std::string& out_path) {
   const bool wrote = out.good();
   std::printf("%s %s\n", wrote ? "wrote" : "ERROR: could not write",
               out_path.c_str());
-  return (golden_ok && llm_gains_most && channels_monotone && wrote) ? 0 : 1;
+  return (llm_gains_most && channels_monotone && wrote) ? 0 : 1;
 }
 
 // ---- Telemetry gates (--metrics) -------------------------------------------
 
-int run_metrics(const std::string& out_path) {
+int run_metrics(const std::string& out_path, const Golden& golden) {
   std::printf("=== bench_perf --metrics: telemetry gates ===\n\n");
 
   metrics::MetricsConfig sampled = metrics::MetricsConfig::enabled_default();
+  const Attach metered{&sampled, nullptr};
 
   // Gate 1: the golden workloads are cycle-identical with the registry and
-  // sampler attached — metrics are observational only.
-  const Model resnet = zoo::resnet50(32);
-  auto resnet_run = [&](bool with_metrics) {
-    SocConfig cfg = SocConfig::base_1mb_l2();
-    cfg.accel.has_im2col = true;
-    auto b = sim::Session::builder(cfg);
-    if (with_metrics) b.metrics(sampled);
-    sim::Session s = b.build();
-    return s.run(resnet);
-  };
-
-  auto matmul_cycles = [&](bool with_metrics) {
-    Rng rng(7);
-    TensorI8 a({320, 320}), b({320, 320});
-    a.randomize(rng);
-    b.randomize(rng);
-    auto builder = sim::Session::builder()
-                       .accel(GemminiConfig::paper_default())
-                       .functional(true);
-    if (with_metrics) builder.metrics(sampled);
-    sim::Session s = builder.build();
-    MatmulParams p;
-    p.a = upload_bytes(s, a.data(), a.size());
-    p.b = upload_bytes(s, b.data(), b.size());
-    p.c = s.address_space().alloc(320 * 320 + 8192);
-    p.m = p.k = p.n = 320;
-    p.out_shift = 7;
-    p.act = Activation::kRelu;
-    const Program prog = emit_tiled_matmul(s.config().accel, p);
-    return s.accelerator().run(prog, s.address_space());
-  };
-
-  const Cycle matmul_off = matmul_cycles(false);
-  const Cycle matmul_on = matmul_cycles(true);
-  const bool matmul_ok = matmul_off == 309917u && matmul_on == matmul_off;
-  std::printf("accel_tiled_matmul   off %llu  on %llu  (%s)\n",
-              static_cast<unsigned long long>(matmul_off),
+  // sampler attached — metrics are observational only. golden_gate() ran
+  // the matmul without metrics and matched the table, so the table holds
+  // its metrics-off count.
+  const Cycle matmul_on = run_matmul(metered).cycles;
+  const bool matmul_ok = matmul_on == golden.matmul;
+  std::printf("%-20s off %llu  on %llu  (%s)\n", kMatmul,
+              static_cast<unsigned long long>(golden.matmul),
               static_cast<unsigned long long>(matmul_on),
               matmul_ok ? "identical" : "DIVERGED");
 
@@ -1049,24 +1074,25 @@ int run_metrics(const std::string& out_path) {
   // lands on both halves of a pair. Cycle identity is checked on every run.
   // The resnet slice is the heaviest golden workload, so its wall is the
   // one a grid sweep would pay.
+  const Model resnet = zoo::resnet50(32);
   Cycle resnet_off = 0, resnet_on = 0;
   bool resnet_ok = true;
   sim::Report metered_report;
   const AbTiming ab = time_ab_ms(
       kAbPairs,
       [&] {
-        resnet_off = resnet_run(false).cycles;
-        resnet_ok = resnet_ok && resnet_off == 9355595u;
+        resnet_off = run_resnet(resnet, false).cycles;
+        resnet_ok = resnet_ok && resnet_off == golden.resnet;
       },
       [&] {
-        metered_report = resnet_run(true);
+        metered_report = run_resnet(resnet, false, metered).report;
         resnet_on = metered_report.cycles;
         resnet_ok = resnet_ok && resnet_on == resnet_off;
       });
   const double wall_off = ab.a_ms, wall_on = ab.b_ms;
   const double overhead_pct = 100.0 * (ab.b_over_a - 1.0);
   const bool overhead_ok = overhead_pct <= 5.0;
-  std::printf("resnet50_slice_32    off %llu  on %llu  (%s)\n",
+  std::printf("%-20s off %llu  on %llu  (%s)\n", kResnet,
               static_cast<unsigned long long>(resnet_off),
               static_cast<unsigned long long>(resnet_on),
               resnet_ok ? "identical" : "DIVERGED");
@@ -1075,11 +1101,12 @@ int run_metrics(const std::string& out_path) {
               overhead_pct, kAbPairs, wall_off, wall_on,
               overhead_ok ? "<= 5%" : "EXCEEDS 5%");
 
-  // Gate 2: the reconciliation invariant on the metered resnet run — every
-  // sampled counter's timeline sums exactly to its end-of-run total, and
-  // every timeline spans the full window count.
+  // Gate 2: the reconciliation invariant on the metered resnet run — at
+  // least one counter timeline, each summing exactly to its end-of-run
+  // total, and every timeline spanning the full window count.
   const sim::MetricsReport& mr = metered_report.metrics;
-  bool reconciled = mr.enabled && mr.windows > 0;
+  bool reconciled =
+      mr.enabled && mr.windows > 0 && !mr.counter_timelines.empty();
   std::size_t checked = 0;
   for (const auto& [name, timeline] : mr.counter_timelines) {
     std::uint64_t total = 0;
@@ -1124,7 +1151,7 @@ int run_metrics(const std::string& out_path) {
 
   std::ofstream out(out_path);
   out << "{\n  \"pr\": 9"
-      << ",\n  \"matmul_cycles_off\": " << matmul_off
+      << ",\n  \"matmul_cycles_off\": " << golden.matmul
       << ",\n  \"matmul_cycles_on\": " << matmul_on
       << ",\n  \"resnet_cycles_off\": " << resnet_off
       << ",\n  \"resnet_cycles_on\": " << resnet_on
@@ -1150,93 +1177,35 @@ int run_metrics(const std::string& out_path) {
 
 // ---- Energy gates (--energy) -----------------------------------------------
 
-int run_energy(const std::string& out_path) {
+int run_energy(const std::string& out_path, const Golden& golden) {
   std::printf("=== bench_perf --energy: command-level energy gates ===\n\n");
 
   const energy::EnergyConfig priced = energy::EnergyConfig::enabled_default();
 
   // Gate 1: the golden workloads are cycle-identical with energy on —
   // energy is derived from counts after the run, so it cannot move timing.
-  auto matmul_cycles = [&](bool with_energy) {
-    Rng rng(7);
-    TensorI8 a({320, 320}), b({320, 320});
-    a.randomize(rng);
-    b.randomize(rng);
-    auto builder = sim::Session::builder()
-                       .accel(GemminiConfig::paper_default())
-                       .functional(true);
-    if (with_energy) builder.energy(priced);
-    sim::Session s = builder.build();
-    MatmulParams p;
-    p.a = upload_bytes(s, a.data(), a.size());
-    p.b = upload_bytes(s, b.data(), b.size());
-    p.c = s.address_space().alloc(320 * 320 + 8192);
-    p.m = p.k = p.n = 320;
-    p.out_shift = 7;
-    p.act = Activation::kRelu;
-    const Program prog = emit_tiled_matmul(s.config().accel, p);
-    return s.accelerator().run(prog, s.address_space());
-  };
-
-  auto conv_cycles = [&](bool with_energy) {
-    Rng rng(11);
-    ConvShape shape;
-    shape.ih = shape.iw = 56;
-    shape.ic = shape.oc = 64;
-    shape.kh = shape.kw = 3;
-    shape.stride = 1;
-    shape.padding = 1;
-    TensorI8 in({1, shape.ih, shape.iw, shape.ic});
-    TensorI8 w({static_cast<std::size_t>(shape.patch_cols()), shape.oc});
-    in.randomize(rng);
-    w.randomize(rng);
-    GemminiConfig cfg = GemminiConfig::paper_default();
-    cfg.has_im2col = true;
-    auto builder =
-        sim::Session::builder().accel(std::move(cfg)).functional(true);
-    if (with_energy) builder.energy(priced);
-    sim::Session s = builder.build();
-    ConvBuffers buf;
-    buf.input = upload_bytes(s, in.data(), in.size());
-    buf.weights = upload_bytes(s, w.data(), w.size());
-    buf.output = s.address_space().alloc(shape.out_rows() * shape.oc + 8192);
-    buf.im2col_scratch = s.address_space().alloc(shape.im2col_bytes(1) + 8192);
-    const ConvPlan plan =
-        emit_conv(s.config().accel, shape, buf, 7, Activation::kRelu);
-    return s.accelerator().run(plan.program, s.address_space());
-  };
-
-  auto resnet_run = [&](bool with_energy) {
-    SocConfig cfg = SocConfig::base_1mb_l2();
-    cfg.accel.has_im2col = true;
-    auto b = sim::Session::builder(cfg).functional(true).seed(7);
-    if (with_energy) {
-      b.energy(priced);
-      b.metrics(metrics::MetricsConfig::enabled_default());
-    }
-    sim::Session s = b.build();
-    return s.run(zoo::resnet50(32));
-  };
-
-  const Cycle matmul_off = matmul_cycles(false);
-  const Cycle matmul_on = matmul_cycles(true);
-  const Cycle conv_off = conv_cycles(false);
-  const Cycle conv_on = conv_cycles(true);
-  const Cycle resnet_off = resnet_run(false).cycles;
-  const sim::Report metered = resnet_run(true);
-  const Cycle resnet_on = metered.cycles;
-  const bool golden_ok = matmul_off == 309917u && matmul_on == matmul_off &&
-                         conv_off == 1087553u && conv_on == conv_off &&
-                         resnet_off == 9355595u && resnet_on == resnet_off;
-  std::printf("accel_tiled_matmul   off %llu  on %llu\n",
-              static_cast<unsigned long long>(matmul_off),
-              static_cast<unsigned long long>(matmul_on));
-  std::printf("accel_conv3x3        off %llu  on %llu\n",
-              static_cast<unsigned long long>(conv_off),
-              static_cast<unsigned long long>(conv_on));
-  std::printf("resnet50_slice_32    off %llu  on %llu\n",
-              static_cast<unsigned long long>(resnet_off),
-              static_cast<unsigned long long>(resnet_on));
+  // golden_gate() ran each one without energy and matched the table, so
+  // the table holds the energy-off counts.
+  const metrics::MetricsConfig sampled =
+      metrics::MetricsConfig::enabled_default();
+  const Cycle matmul_on = run_matmul({nullptr, &priced}).cycles;
+  const Cycle conv_on = run_conv({nullptr, &priced}).cycles;
+  const sim::Report metered =
+      run_resnet(zoo::resnet50(32), true, {&sampled, &priced}).report;
+  const bool golden_ok = matmul_on == golden.matmul &&
+                         conv_on == golden.conv &&
+                         metered.cycles == golden.resnet;
+  const struct {
+    const char* name;
+    Cycle off, on;
+  } rows[] = {{kMatmul, golden.matmul, matmul_on},
+              {kConv, golden.conv, conv_on},
+              {kResnet, golden.resnet, metered.cycles}};
+  for (const auto& r : rows) {
+    std::printf("%-24s off %llu  on %llu\n", r.name,
+                static_cast<unsigned long long>(r.off),
+                static_cast<unsigned long long>(r.on));
+  }
   std::printf("golden cycles with energy on: %s\n\n",
               golden_ok ? "identical" : "DIVERGED");
 
@@ -1371,14 +1340,39 @@ int run_energy(const std::string& out_path) {
                                           : "none",
               budget_ok ? "match" : "MISMATCH");
 
+  // Gate 5: the femtojoule figures equal the values committed in
+  // BENCH_PR10.json. That file is this mode's default output, so the
+  // reference is kept here rather than read back.
+  const struct {
+    const char* model;
+    std::uint64_t fcfs_fj, frfcfs_fj;
+  } kPinnedDramFj[] = {
+      {"resnet50", 284552786000, 283288786000},
+      {"alexnet", 437073666000, 437020666000},
+      {"squeezenet_v1.1", 20322094000, 19859094000},
+      {"mobilenetv2", 57707880000, 56497880000},
+      {"bert-base", 104504562000, 103804562000},
+  };
+  constexpr std::uint64_t kPinnedResnetFj = 818935874640;
+  bool pinned_ok = er.total_fj == kPinnedResnetFj &&
+                   sched_rows.size() == std::size(kPinnedDramFj);
+  for (std::size_t i = 0; pinned_ok && i < sched_rows.size(); ++i) {
+    const SchedRow& r = sched_rows[i];
+    pinned_ok = r.model == kPinnedDramFj[i].model &&
+                r.fcfs_fj == kPinnedDramFj[i].fcfs_fj &&
+                r.frfcfs_fj == kPinnedDramFj[i].frfcfs_fj;
+  }
+  std::printf("femtojoule pins (resnet total, scheduler DRAM table): %s\n\n",
+              pinned_ok ? "equal" : "DIFFER");
+
   std::ofstream out(out_path);
   out << "{\n  \"pr\": 10"
-      << ",\n  \"matmul_cycles_off\": " << matmul_off
+      << ",\n  \"matmul_cycles_off\": " << golden.matmul
       << ",\n  \"matmul_cycles_on\": " << matmul_on
-      << ",\n  \"conv_cycles_off\": " << conv_off
+      << ",\n  \"conv_cycles_off\": " << golden.conv
       << ",\n  \"conv_cycles_on\": " << conv_on
-      << ",\n  \"resnet_cycles_off\": " << resnet_off
-      << ",\n  \"resnet_cycles_on\": " << resnet_on
+      << ",\n  \"resnet_cycles_off\": " << golden.resnet
+      << ",\n  \"resnet_cycles_on\": " << metered.cycles
       << ",\n  \"golden_identical\": " << (golden_ok ? "true" : "false")
       << ",\n  \"resnet_total_fj\": " << er.total_fj
       << ",\n  \"resnet_avg_power_watts\": " << er.avg_power_watts
@@ -1404,100 +1398,61 @@ int run_energy(const std::string& out_path) {
   std::printf("%s %s\n", wrote ? "wrote" : "ERROR: could not write",
               out_path.c_str());
   return (golden_ok && timeline_ok && sched_ok && search_ok && budget_ok &&
-          wrote)
+          pinned_ok && wrote)
              ? 0
              : 1;
+}
+
+// ---- Dispatch ----------------------------------------------------------------
+
+struct Mode {
+  const char* flag;  // "" = the default perf harness
+  const char* default_out;
+  int (*run)(const std::string& out_path, const Golden& golden);
+};
+
+constexpr Mode kModes[] = {
+    {"", "BENCH_PR1.json", run_perf},
+    {"--sweep", "BENCH_PR2.json", run_sweep},
+    {"--plan", "BENCH_PR3.json", run_plan_compare},
+    {"--trace", "trace.json", run_trace},
+    {"--dram", "BENCH_PR5.json", run_dram},
+    {"--faults", "BENCH_PR6.json", run_faults},
+    {"--serve", "BENCH_PR7.json", run_serve},
+    {"--llm", "BENCH_PR8.json", run_llm},
+    {"--metrics", "BENCH_PR9.json", run_metrics},
+    {"--energy", "BENCH_PR10.json", run_energy},
+};
+
+int usage() {
+  std::fprintf(stderr, "usage: bench_perf [");
+  for (std::size_t i = 1; i < std::size(kModes); ++i) {
+    std::fprintf(stderr, "%s%s", i == 1 ? "" : "|", kModes[i].flag);
+  }
+  std::fprintf(stderr, "] [out.json]\n");
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool sweep_mode = false;
-  bool plan_mode = false;
-  bool trace_mode = false;
-  bool dram_mode = false;
-  bool faults_mode = false;
-  bool serve_mode = false;
-  bool llm_mode = false;
-  bool metrics_mode = false;
-  bool energy_mode = false;
+  const Mode* mode = &kModes[0];
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sweep") == 0) {
-      sweep_mode = true;
-    } else if (std::strcmp(argv[i], "--plan") == 0) {
-      plan_mode = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_mode = true;
-    } else if (std::strcmp(argv[i], "--dram") == 0) {
-      dram_mode = true;
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      faults_mode = true;
-    } else if (std::strcmp(argv[i], "--serve") == 0) {
-      serve_mode = true;
-    } else if (std::strcmp(argv[i], "--llm") == 0) {
-      llm_mode = true;
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      metrics_mode = true;
-    } else if (std::strcmp(argv[i], "--energy") == 0) {
-      energy_mode = true;
-    } else {
-      out_path = argv[i];
+    const std::string arg = argv[i];
+    if (arg.empty() || arg[0] != '-') {
+      if (!out_path.empty()) return usage();
+      out_path = arg;
+      continue;
     }
+    const Mode* m = std::find_if(std::begin(kModes) + 1, std::end(kModes),
+                                 [&](const Mode& k) { return arg == k.flag; });
+    if (m == std::end(kModes) || mode != &kModes[0]) return usage();
+    mode = m;
   }
-  if (out_path.empty()) {
-    out_path = energy_mode  ? "BENCH_PR10.json"
-               : metrics_mode ? "BENCH_PR9.json"
-               : llm_mode    ? "BENCH_PR8.json"
-               : serve_mode  ? "BENCH_PR7.json"
-               : faults_mode ? "BENCH_PR6.json"
-               : dram_mode   ? "BENCH_PR5.json"
-               : trace_mode ? "trace.json"
-               : plan_mode ? "BENCH_PR3.json"
-               : sweep_mode ? "BENCH_PR2.json" : "BENCH_PR1.json";
-  }
+  if (out_path.empty()) out_path = mode->default_out;
 
-  if (energy_mode) return run_energy(out_path);
-  if (metrics_mode) return run_metrics(out_path);
-  if (llm_mode) return run_llm(out_path);
-  if (serve_mode) return run_serve(out_path);
-  if (faults_mode) return run_faults(out_path);
-  if (dram_mode) return run_dram(out_path);
-  if (trace_mode) return run_trace(out_path);
-  if (plan_mode) return run_plan_compare(out_path);
-  if (sweep_mode) return run_sweep(out_path);
-
-  std::printf("=== bench_perf: hot-path throughput harness ===\n\n");
-
-  std::vector<Entry> entries;
-  entries.push_back(kernel_matmul_i8(512, 512, 512));
-  entries.push_back(kernel_matmul_f32(512, 512, 512));
-  entries.push_back(accel_tiled_matmul(320, 320, 320));
-  entries.push_back(accel_conv3x3());
-  entries.push_back(resnet_slice());
-
-  bool ok = true;
-  if (write_json(out_path, entries)) {
-    std::printf("\nwrote %s\n", out_path.c_str());
-  } else {
-    std::printf("\nERROR: could not write %s\n", out_path.c_str());
-    ok = false;
-  }
-  for (const auto& e : entries) ok = ok && e.match;
-  // The acceptance gate: the blocked int8 matmul kernel (the paper's
-  // inference pipeline) must beat the naive loops by >= 5x, as the median
-  // of the interleaved per-pair ratios, and stay bit-exact. The fp32
-  // kernel is reported but not gated: its per-output serial FMA chain
-  // (required for bit-exact accumulation order) caps the achievable
-  // speedup near 3x.
-  for (const auto& e : entries) {
-    if (e.name.rfind("kernel_matmul_i8", 0) == 0 && e.speedup_vs_naive > 0 &&
-        e.speedup_vs_naive < 5.0) {
-      std::printf("FAIL: %s speedup %.2fx < 5x\n", e.name.c_str(),
-                  e.speedup_vs_naive);
-      ok = false;
-    }
-  }
-  if (!ok) std::printf("FAIL: mismatches or insufficient speedup\n");
-  return ok ? 0 : 1;
+  Golden golden;
+  if (!golden_gate(&golden)) return 1;
+  return mode->run(out_path, golden);
 }

@@ -15,8 +15,14 @@
 //   sim::Report r = session.run(zoo::resnet50(64));
 //
 // The Session validates its configuration exactly once, at build() time, and
-// reports problems as ConfigError with the offending config named. Runs are
-// repeatable: timing and cache state are reset before each run.
+// reports problems as ConfigError with the offending config named. Every run
+// first resets the buses, the DRAM banks and queues, the L2 (its contents
+// are flushed), the accelerators' pipelines and DMA windows, the page-table
+// walker's port, the fault streams, and every per-run count. Address-space
+// allocations and memory contents persist, and so do the TLBs and the
+// walker's PTE cache. A second run on one Session is therefore not a cold
+// run and may take other cycles: run(Model) compiles into fresh pages, and
+// translations stay warm. Build a fresh Session for a cold count.
 //
 // The compile side mirrors the run side: `plan()` pushes a model through
 // the staged lowering pipeline (placement -> tiling -> allocation, see
@@ -196,7 +202,9 @@ class Session : private RunCollector {
 
   // ---- Push-button runs ----------------------------------------------------
   /// Compiles (with the session's policies) and runs `model` on core 0.
-  /// Repeatable; all timing state is reset first.
+  /// Timing state, the L2 and the per-run counts are reset first; the
+  /// address space, TLBs and PTE cache are not (see the file comment), so
+  /// a rerun compiles into fresh pages and may take other cycles.
   Report run(const Model& model);
 
   /// Emits and runs a previously built (possibly mutated) plan on core 0.
@@ -211,8 +219,8 @@ class Session : private RunCollector {
   Report run_multicore(const Model& model);
 
   /// Runs a caller-assembled WorkStream on core 0 and wraps the result in a
-  /// full Report (per-core counters, substrate, estimates). Timing and cache
-  /// state are reset first, but address-space allocations and functional
+  /// full Report (per-core counters, substrate, estimates). Timing state
+  /// and the L2 are reset first, but address-space allocations and functional
   /// memory contents are kept — workload generators (src/llm/) allocate and
   /// materialize buffers against address_space(0), then hand the stream
   /// here. `model_name` labels the report; `cpu_baseline` (0 = unknown)

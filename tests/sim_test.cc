@@ -6,10 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <iterator>
+#include <string>
 
+#include "src/base/rng.h"
+#include "src/base/tensor.h"
 #include "src/dnn/zoo.h"
 #include "src/model/lowering/pipeline.h"
+#include "src/runtime/conv.h"
+#include "src/runtime/matmul.h"
 #include "src/sim/experiment.h"
 #include "src/sim/report.h"
 #include "src/sim/session.h"
@@ -133,6 +141,83 @@ TEST(SimSession, RerunReportCountsCoverOnlyThatRun) {
         static_cast<double>(r->metrics.counters.at("core0.tlb.misses"));
     EXPECT_DOUBLE_EQ(r->per_core[0].private_tlb_hit_rate,
                      tlb_hits / (tlb_hits + tlb_misses));
+  }
+}
+
+/// The cycle count scripts/golden_cycles.json pins for `key` (0 if absent).
+Cycle golden_cycles(const std::string& key) {
+  std::ifstream in(std::string(GEMMINI_SOURCE_DIR) +
+                   "/scripts/golden_cycles.json");
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::size_t at = text.find("\"" + key + "\"");
+  const std::size_t colon = at == std::string::npos ? at : text.find(':', at);
+  return colon == std::string::npos
+             ? 0
+             : std::strtoull(text.c_str() + colon + 1, nullptr, 10);
+}
+
+VAddr upload(sim::Session& s, const TensorI8& t) {
+  const VAddr va = s.address_space().alloc(t.size() + 4096);
+  s.address_space().write_virt(va, t.data(), t.size());
+  return va;
+}
+
+TEST(SimSession, GoldenCyclesMatchScriptsFile) {
+  // The three bench_perf golden workloads, built as its golden gate builds
+  // them (resnet timing-only: data does not move cycles).
+  {
+    Rng rng(7);
+    TensorI8 a({320, 320}), b({320, 320});
+    a.randomize(rng);
+    b.randomize(rng);
+    sim::Session s = sim::Session::builder()
+                         .accel(GemminiConfig::paper_default())
+                         .functional(true)
+                         .build();
+    MatmulParams p;
+    p.a = upload(s, a);
+    p.b = upload(s, b);
+    p.c = s.address_space().alloc(320 * 320 + 8192);
+    p.m = p.k = p.n = 320;
+    p.out_shift = 7;
+    p.act = Activation::kRelu;
+    const Program prog = emit_tiled_matmul(s.config().accel, p);
+    EXPECT_EQ(s.accelerator().run(prog, s.address_space()),
+              golden_cycles("accel_tiled_matmul"));
+  }
+  {
+    Rng rng(11);
+    ConvShape shape;
+    shape.ih = shape.iw = 56;
+    shape.ic = shape.oc = 64;
+    shape.kh = shape.kw = 3;
+    shape.stride = 1;
+    shape.padding = 1;
+    TensorI8 in({1, shape.ih, shape.iw, shape.ic});
+    TensorI8 w({static_cast<std::size_t>(shape.patch_cols()), shape.oc});
+    in.randomize(rng);
+    w.randomize(rng);
+    GemminiConfig cfg = GemminiConfig::paper_default();
+    cfg.has_im2col = true;
+    sim::Session s =
+        sim::Session::builder().accel(std::move(cfg)).functional(true).build();
+    ConvBuffers buf;
+    buf.input = upload(s, in);
+    buf.weights = upload(s, w);
+    buf.output = s.address_space().alloc(shape.out_rows() * shape.oc + 8192);
+    buf.im2col_scratch = s.address_space().alloc(shape.im2col_bytes(1) + 8192);
+    const ConvPlan plan =
+        emit_conv(s.config().accel, shape, buf, 7, Activation::kRelu);
+    EXPECT_EQ(s.accelerator().run(plan.program, s.address_space()),
+              golden_cycles("accel_conv3x3_56x56x64"));
+  }
+  {
+    SocConfig cfg = SocConfig::base_1mb_l2();
+    cfg.accel.has_im2col = true;
+    sim::Session s = sim::Session::builder(cfg).build();
+    EXPECT_EQ(s.run(zoo::resnet50(32)).cycles,
+              golden_cycles("resnet50_slice_32"));
   }
 }
 
