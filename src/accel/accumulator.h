@@ -11,6 +11,7 @@
 
 #include "src/arch/config.h"
 #include "src/base/fixed.h"
+#include "src/base/divisor.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/fault/fault.h"
@@ -64,7 +65,7 @@ class Accumulator {
 
   // ---- Timing ---------------------------------------------------------------
   unsigned bank_of(std::uint64_t row) const {
-    return static_cast<unsigned>(row / bank_rows_);
+    return static_cast<unsigned>(bank_rows_.div(row));
   }
   Cycle reserve(std::uint64_t row, std::uint64_t nrows, Cycle t, Cycle cycles);
   /// Frees every bank and zeroes the counts (one run's window).
@@ -96,7 +97,7 @@ class Accumulator {
   DType dtype_;
   unsigned dim_;
   std::uint64_t rows_;
-  std::uint64_t bank_rows_;
+  Divisor bank_rows_;
   std::vector<std::int32_t> i32_;
   std::vector<float> f32_;
   std::vector<Cycle> bank_busy_;

@@ -10,9 +10,9 @@ namespace gemmini {
 
 DmaEngine::StreamResult DmaEngine::stream(const AddressSpace& as, VAddr va,
                                           std::uint64_t bytes, bool write,
-                                          Cycle issue) {
+                                          Cycle issue, bool functional) {
   StreamResult r{issue, issue};
-  std::deque<Cycle>& inflight_ = write ? write_inflight_ : read_inflight_;
+  InflightWindow& inflight = write ? write_inflight_ : read_inflight_;
   std::uint64_t remaining = bytes;
   VAddr cur = va;
   while (remaining > 0) {
@@ -26,16 +26,23 @@ DmaEngine::StreamResult DmaEngine::stream(const AddressSpace& as, VAddr va,
     // One request enters the pipe per cycle; a full in-flight window stalls
     // the issue stage until the oldest request retires.
     Cycle slot = r.next_issue;
-    if (inflight_.size() >= cfg_.dma_max_inflight) {
-      slot = std::max(slot, inflight_.front());
-      inflight_.pop_front();
-    }
+    if (inflight.full()) slot = std::max(slot, inflight.pop_oldest());
     // Private-TLB (and filter-register) hits are pipelined with issue: they
     // add latency to *this* request without blocking the next from entering
     // the pipe. Misses are blocking, as in the RTL's TLB: the DMA stalls
     // until the shared-TLB lookup or page walk resolves — this is why TLB
     // sizing matters so much in the paper's Fig. 8.
     const Translation tr = translation_.translate(as, cur, write, slot);
+    if (functional) {
+      // Physically adjacent chunks merge, so a contiguous transfer copies
+      // whole runs rather than line-sized pieces.
+      if (!chunks_.empty() &&
+          chunks_.back().paddr + chunks_.back().bytes == tr.paddr) {
+        chunks_.back().bytes += chunk;
+      } else {
+        chunks_.push_back(Chunk{tr.paddr, chunk});
+      }
+    }
     Cycle req_t = std::max(tr.done, slot);
     Cycle done = mem_.access(tr.paddr, chunk, write, req_t, requestor_);
     // Fault layer: a transfer may time out. Each retry waits out the timeout
@@ -63,7 +70,7 @@ DmaEngine::StreamResult DmaEngine::stream(const AddressSpace& as, VAddr va,
         ++attempt;
       }
     }
-    inflight_.push_back(done);
+    inflight.push(done);
     r.done = std::max(r.done, done);
     const bool blocking_miss = tr.level == TranslationLevel::kSharedTlb ||
                                tr.level == TranslationLevel::kPageWalk;
@@ -99,13 +106,14 @@ DmaEngine::XferResult DmaEngine::mvin(const AddressSpace& as, VAddr dram,
 
   Cycle issue = start;
   Cycle done = start;
+  chunks_.clear();
   // Consecutive rows that are contiguous in DRAM (stride == row width)
   // coalesce into one burst, so the memory system sees line-sized requests
   // instead of row-sized ones — matching the RTL DMA's request coalescing.
   const bool contiguous = stride_bytes == row_bytes && rows > 1;
   if (contiguous) {
-    const StreamResult sr = stream(
-        as, dram, row_bytes * rows, /*write=*/false, issue);
+    const StreamResult sr = stream(as, dram, row_bytes * rows,
+                                   /*write=*/false, issue, functional);
     issue = sr.next_issue;
     Cycle local_done;
     if (dst.is_acc()) {
@@ -118,7 +126,7 @@ DmaEngine::XferResult DmaEngine::mvin(const AddressSpace& as, VAddr dram,
     for (unsigned r = 0; r < rows; ++r) {
       const VAddr va = dram + static_cast<std::uint64_t>(r) * stride_bytes;
       const StreamResult sr =
-          stream(as, va, row_bytes, /*write=*/false, issue);
+          stream(as, va, row_bytes, /*write=*/false, issue, functional);
       issue = sr.next_issue;
 
       // Local write happens when the data lands.
@@ -133,21 +141,16 @@ DmaEngine::XferResult DmaEngine::mvin(const AddressSpace& as, VAddr dram,
   }
 
   if (functional) {
-    // Burst the whole transfer into a staging buffer first — one page-bounded
-    // copy per chunk (contiguous transfers are a single burst; strided rows
-    // still reuse one translation per page) — then convert row-by-row with
-    // the dtype/destination branch hoisted out of the loops.
-    AddressSpace::Cursor copier(as);
+    // Gather the whole transfer into a staging buffer through the chunks the
+    // timed path translated (their concatenation is the row-major payload),
+    // then convert row-by-row with the dtype/destination branch hoisted out
+    // of the loops.
     stage_.resize(row_bytes * rows);
     std::uint8_t* const buf_data = stage_.data();
-    if (contiguous) {
-      copier.read(dram, buf_data, row_bytes * rows);
-    } else {
-      for (unsigned r = 0; r < rows; ++r) {
-        copier.read(dram + static_cast<std::uint64_t>(r) * stride_bytes,
-                    buf_data + static_cast<std::size_t>(r) * row_bytes,
-                    row_bytes);
-      }
+    std::uint8_t* p = buf_data;
+    for (const Chunk& c : chunks_) {
+      as.phys().read(c.paddr, p, c.bytes);
+      p += c.bytes;
     }
 
     if (dst.is_acc()) {
@@ -235,6 +238,7 @@ DmaEngine::XferResult DmaEngine::mvout(const AddressSpace& as, VAddr dram,
 
   Cycle issue = start;
   Cycle done = start;
+  chunks_.clear();
   // Contiguous output rows coalesce into one burst (see mvin).
   const bool contiguous = stride_bytes == row_bytes && rows > 1;
   if (contiguous) {
@@ -246,7 +250,7 @@ DmaEngine::XferResult DmaEngine::mvout(const AddressSpace& as, VAddr dram,
     }
     const StreamResult sr =
         stream(as, dram, row_bytes * rows, /*write=*/true,
-               read_done - rows + 1);
+               read_done - rows + 1, functional);
     issue = std::max(issue + rows, sr.next_issue);
     done = std::max(done, sr.done);
   } else {
@@ -261,7 +265,7 @@ DmaEngine::XferResult DmaEngine::mvout(const AddressSpace& as, VAddr dram,
       }
       // ...then the write stream to memory.
       const StreamResult sr =
-          stream(as, va, row_bytes, /*write=*/true, read_done);
+          stream(as, va, row_bytes, /*write=*/true, read_done, functional);
       issue = std::max(issue + 1, sr.next_issue);
       done = std::max(done, sr.done);
     }
@@ -269,10 +273,8 @@ DmaEngine::XferResult DmaEngine::mvout(const AddressSpace& as, VAddr dram,
 
   if (functional) {
     // Assemble every output row (read-out pipeline applied for accumulator
-    // sources, dtype branch hoisted) into one staging buffer, then burst it
-    // out with page-bounded writes — a single write_virt-equivalent for
-    // contiguous transfers, one per row (with the page translation reused)
-    // for strided ones.
+    // sources, dtype branch hoisted) into one staging buffer, then scatter
+    // it through the chunks the timed path translated.
     stage_.resize(row_bytes * rows);
     std::uint8_t* const buf_data = stage_.data();
     if (src.is_acc()) {
@@ -299,15 +301,10 @@ DmaEngine::XferResult DmaEngine::mvout(const AddressSpace& as, VAddr dram,
       }
     }
 
-    AddressSpace::Cursor copier(as);
-    if (contiguous) {
-      copier.write(dram, buf_data, row_bytes * rows);
-    } else {
-      for (unsigned r = 0; r < rows; ++r) {
-        copier.write(dram + static_cast<std::uint64_t>(r) * stride_bytes,
-                     buf_data + static_cast<std::size_t>(r) * row_bytes,
-                     row_bytes);
-      }
+    const std::uint8_t* p = buf_data;
+    for (const Chunk& c : chunks_) {
+      as.phys().write(c.paddr, p, c.bytes);
+      p += c.bytes;
     }
   }
   return XferResult{issue, done};

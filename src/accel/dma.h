@@ -8,8 +8,13 @@
 // through a bounded in-flight window (dma_max_inflight), so DMA throughput
 // is limited by min(bus bandwidth, inflight * latency product) exactly as in
 // the RTL. Functional mode moves real bytes; timing mode moves only time.
+//
+// A row is translated once: the timed path records the physical chunks it
+// resolved, in issue order, and functional mode copies the data through
+// exactly those chunks. That is sound because a mapping never changes once
+// made (AddressSpace::map_page rejects a remap), so a cached translation is
+// always the current one.
 
-#include <deque>
 #include <vector>
 
 #include "src/accel/accumulator.h"
@@ -41,7 +46,9 @@ class DmaEngine {
         acc_(acc),
         requestor_(requestor),
         tracer_(tracer),
-        injector_(injector) {}
+        injector_(injector),
+        read_inflight_(cfg.dma_max_inflight),
+        write_inflight_(cfg.dma_max_inflight) {}
 
   /// Timing result of a data-movement instruction: `issue_done` is when the
   /// DMA front-end finishes injecting requests (the next MVIN/MVOUT can
@@ -84,14 +91,48 @@ class DmaEngine {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// The completion times of the requests in flight, oldest first, in a
+  /// fixed ring of dma_max_inflight slots.
+  class InflightWindow {
+   public:
+    explicit InflightWindow(unsigned slots) : done_(slots, 0) {}
+    bool full() const { return size_ == done_.size(); }
+    Cycle pop_oldest() {
+      const Cycle oldest = done_[head_];
+      head_ = head_ + 1 == done_.size() ? 0 : head_ + 1;
+      --size_;
+      return oldest;
+    }
+    void push(Cycle done) {
+      std::size_t tail = head_ + size_;
+      if (tail >= done_.size()) tail -= done_.size();
+      done_[tail] = done;
+      ++size_;
+    }
+    void clear() { head_ = size_ = 0; }
+
+   private:
+    std::vector<Cycle> done_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  /// A physically contiguous piece of the current transfer, as the timed
+  /// translation resolved it.
+  struct Chunk {
+    PAddr paddr;
+    std::uint64_t bytes;
+  };
+
   /// Streams `bytes` at virtual address `va` through the memory system with
   /// the bounded in-flight window. Returns {last completion, next issue}.
+  /// With `functional`, appends the translated chunks to `chunks_`.
   struct StreamResult {
     Cycle done;
     Cycle next_issue;
   };
   StreamResult stream(const AddressSpace& as, VAddr va, std::uint64_t bytes,
-                      bool write, Cycle issue);
+                      bool write, Cycle issue, bool functional);
 
   const GemminiConfig& cfg_;
   MemorySystem& mem_;
@@ -104,10 +145,12 @@ class DmaEngine {
   // Reads and writes have independent in-flight windows, mirroring the
   // RTL's separate load/store reservation stations: a backlog of store
   // completions must not stall load issue.
-  std::deque<Cycle> read_inflight_;
-  std::deque<Cycle> write_inflight_;
-  /// Functional-path staging buffer, reused across transfers so each
-  /// mvin/mvout doesn't pay a zero-initialization of the whole payload.
+  InflightWindow read_inflight_;
+  InflightWindow write_inflight_;
+  /// Functional path: the transfer's chunks in issue order (they tile the
+  /// staging buffer's row-major layout exactly) and the staging buffer,
+  /// both reused across transfers.
+  std::vector<Chunk> chunks_;
   std::vector<std::uint8_t> stage_;
   Stats stats_;
 };

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/arch/config.h"
+#include "src/base/divisor.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/fault/fault.h"
@@ -38,7 +39,7 @@ class Scratchpad {
   std::uint64_t row_bytes() const { return row_bytes_; }
   unsigned banks() const { return static_cast<unsigned>(bank_busy_.size()); }
   unsigned bank_of(std::uint64_t row) const {
-    return static_cast<unsigned>(row / bank_rows_);
+    return static_cast<unsigned>(bank_rows_.div(row));
   }
 
   // ---- Functional -------------------------------------------------------
@@ -76,7 +77,7 @@ class Scratchpad {
  private:
   std::uint64_t row_bytes_;
   std::uint64_t rows_;
-  std::uint64_t bank_rows_;
+  Divisor bank_rows_;
   std::vector<std::uint8_t> data_;
   std::vector<Cycle> bank_busy_;
   fault::Injector* injector_;

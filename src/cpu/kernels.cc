@@ -42,6 +42,37 @@ std::int64_t dot_i8(const std::int8_t* a, const std::int8_t* bt,
   return total;
 }
 
+/// Register-blocked int8 micro-kernel: the exact sums of kMicroRows A rows
+/// (`ar`) against kMicroCols packed B columns (`bt`, column c at bt + c*k),
+/// written to out[r][c]. Each operand load feeds kMicroRows or kMicroCols
+/// multiply-adds instead of one, and the int32 chunk accumulators follow
+/// dot_i8's overflow bound, so the result is exact.
+constexpr std::size_t kMicroRows = 4;
+constexpr std::size_t kMicroCols = 4;
+
+void dot_i8_block(const std::int8_t* const* ar, const std::int8_t* bt,
+                  std::size_t k, std::int64_t (&out)[kMicroRows][kMicroCols]) {
+  constexpr std::size_t kChunk = 1u << 16;
+  for (auto& row : out) std::fill(std::begin(row), std::end(row), 0);
+  const std::int8_t *a0 = ar[0], *a1 = ar[1], *a2 = ar[2], *a3 = ar[3];
+  const std::int8_t *b0 = bt, *b1 = bt + k, *b2 = bt + 2 * k, *b3 = bt + 3 * k;
+  std::size_t kk = 0;
+  while (kk < k) {
+    const std::size_t end = std::min(k, kk + kChunk);
+    std::int32_t s[kMicroRows][kMicroCols] = {};
+    for (; kk < end; ++kk) {
+      const std::int32_t a[kMicroRows] = {a0[kk], a1[kk], a2[kk], a3[kk]};
+      const std::int32_t b[kMicroCols] = {b0[kk], b1[kk], b2[kk], b3[kk]};
+      for (std::size_t r = 0; r < kMicroRows; ++r) {
+        for (std::size_t c = 0; c < kMicroCols; ++c) s[r][c] += a[r] * b[c];
+      }
+    }
+    for (std::size_t r = 0; r < kMicroRows; ++r) {
+      for (std::size_t c = 0; c < kMicroCols; ++c) out[r][c] += s[r][c];
+    }
+  }
+}
+
 /// fp32 dot product seeded with `init` (the bias). A single accumulator and
 /// ascending-k adds reproduce the naive rounding sequence exactly; the
 /// unrolled body is plain sequential statements for the same reason.
@@ -77,19 +108,41 @@ void gemm_i8(const TensorI8& a, const TensorI8& b, const std::int32_t* bias,
   GEMMINI_CHECK(a.rank() == 2 && b.rank() == 2 && c.rank() == 2);
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   GEMMINI_CHECK(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n);
+  const auto emit = [&](std::size_t i, std::size_t j, std::int64_t dot) {
+    const std::int64_t sum = (bias ? bias[j] : 0) + dot;
+    const std::int32_t acc = static_cast<std::int32_t>(
+        std::clamp<std::int64_t>(sum, INT32_MIN, INT32_MAX));
+    c.row(i)[j] = quantize_i32_to_i8(acc, out_shift, act);
+  };
   std::vector<std::int8_t> bt;
   for (std::size_t j0 = 0; j0 < n; j0 += kColBlock) {
     const std::size_t jn = std::min(kColBlock, n - j0);
     pack_b_panel(b, k, j0, jn, bt);
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::int8_t* ar = a.row(i);
-      std::int8_t* cr = c.row(i) + j0;
+    std::size_t i = 0;
+    // Full kMicroRows x kMicroCols blocks through the micro-kernel...
+    for (; i + kMicroRows <= m; i += kMicroRows) {
+      const std::int8_t* const ar[kMicroRows] = {a.row(i), a.row(i + 1),
+                                                 a.row(i + 2), a.row(i + 3)};
+      std::size_t j = 0;
+      for (; j + kMicroCols <= jn; j += kMicroCols) {
+        std::int64_t dots[kMicroRows][kMicroCols];
+        dot_i8_block(ar, bt.data() + j * k, k, dots);
+        for (std::size_t r = 0; r < kMicroRows; ++r) {
+          for (std::size_t u = 0; u < kMicroCols; ++u) {
+            emit(i + r, j0 + j + u, dots[r][u]);
+          }
+        }
+      }
+      // ...then the panel's leftover columns one dot product at a time.
+      for (; j < jn; ++j) {
+        for (std::size_t r = 0; r < kMicroRows; ++r) {
+          emit(i + r, j0 + j, dot_i8(ar[r], bt.data() + j * k, k));
+        }
+      }
+    }
+    for (; i < m; ++i) {
       for (std::size_t j = 0; j < jn; ++j) {
-        const std::int64_t sum =
-            (bias ? bias[j0 + j] : 0) + dot_i8(ar, bt.data() + j * k, k);
-        const std::int32_t acc = static_cast<std::int32_t>(
-            std::clamp<std::int64_t>(sum, INT32_MIN, INT32_MAX));
-        cr[j] = quantize_i32_to_i8(acc, out_shift, act);
+        emit(i, j0 + j, dot_i8(a.row(i), bt.data() + j * k, k));
       }
     }
   }

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/divisor.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/trace/trace.h"
@@ -50,15 +51,15 @@ class Bus {
 
   explicit Bus(const BusConfig& cfg, trace::Tracer* tracer = nullptr,
                trace::Unit unit = trace::Unit::kSystemBus)
-      : cfg_(cfg), tracer_(tracer), unit_(unit) {
-    cfg_.validate();
-  }
+      : cfg_((cfg.validate(), cfg)),
+        width_(cfg_.width_bytes),
+        tracer_(tracer),
+        unit_(unit) {}
 
   /// Requests the bus at time `t` for a `bytes`-byte transfer. Returns the
   /// cycle at which the transfer completes; the bus is busy until then.
   Cycle transfer(Cycle t, std::uint64_t bytes, RequestorId requestor) {
-    const Cycle occupancy =
-        (bytes + cfg_.width_bytes - 1) / cfg_.width_bytes;
+    const Cycle occupancy = width_.div_ceil(bytes);
     const Cycle start = t > busy_until_ ? t : busy_until_;
     RequestorStats& rs = by_requestor_[requestor_index(requestor.value)];
     if (start > t) {
@@ -107,21 +108,29 @@ class Bus {
 
  private:
   std::size_t requestor_index(int id) {
-    // A handful of requestors per SoC (cores + PTW): linear scan beats any
-    // map on this hot path.
-    for (std::size_t i = 0; i < by_requestor_.size(); ++i) {
-      if (by_requestor_[i].requestor == id) return i;
+    // A handful of requestors per SoC (cores + PTW) and long same-requestor
+    // runs (a DMA row, a page walk): the last slot resolves most calls, and
+    // a linear scan beats any map for the rest. The memo re-validates
+    // against the table, so a reset_time() needs no extra bookkeeping.
+    if (last_slot_ < by_requestor_.size() &&
+        by_requestor_[last_slot_].requestor == id) {
+      return last_slot_;
+    }
+    for (last_slot_ = 0; last_slot_ < by_requestor_.size(); ++last_slot_) {
+      if (by_requestor_[last_slot_].requestor == id) return last_slot_;
     }
     by_requestor_.push_back(RequestorStats{id, 0, 0, 0});
-    return by_requestor_.size() - 1;
+    return last_slot_;
   }
 
   BusConfig cfg_;
+  Divisor width_;
   trace::Tracer* tracer_;
   trace::Unit unit_;
   Cycle busy_until_ = 0;
   Stats stats_;
   std::vector<RequestorStats> by_requestor_;
+  std::size_t last_slot_ = 0;
 };
 
 }  // namespace gemmini

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/divisor.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
 
@@ -67,22 +68,15 @@ class Cache {
   }
 
  private:
-  struct Line {
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  ///< larger == more recently used
-  };
-
-  std::uint64_t line_addr(PAddr a) const { return a / cfg_.line_bytes; }
-  std::uint64_t set_index(std::uint64_t line) const {
-    return line % num_sets_;
-  }
-  std::uint64_t tag_of(std::uint64_t line) const { return line / num_sets_; }
-
   CacheConfig cfg_;
-  unsigned num_sets_;
-  std::vector<Line> lines_;  // num_sets_ * ways, set-major
+  Divisor line_bytes_;
+  Divisor num_sets_;
+  unsigned ways_;
+  // Per-way state, set-major (num_sets * ways). A way's key is its tag + 1
+  // (0 = invalid), so the hit scan reads one dense array of keys.
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint64_t> lru_;  ///< larger == more recently used
+  std::vector<std::uint8_t> dirty_;
   std::uint64_t lru_clock_ = 0;
   Stats stats_;
 };

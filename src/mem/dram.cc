@@ -23,8 +23,14 @@ const char* dram_interleave_name(DramInterleave i) {
 
 Dram::Dram(const DramConfig& cfg, trace::Tracer* tracer,
            fault::Injector* injector)
-    : cfg_(cfg), tracer_(tracer), injector_(injector) {
-  cfg_.validate();
+    : cfg_((cfg.validate(), cfg)),
+      row_bytes_(cfg_.row_bytes),
+      interleave_bytes_(cfg_.interleave_bytes),
+      num_channels_(cfg_.channels),
+      num_banks_(cfg_.banks),
+      channel_width_(cfg_.channel_width_bytes),
+      tracer_(tracer),
+      injector_(injector) {
   channels_.resize(cfg_.channels);
   for (Channel& ch : channels_) ch.banks.assign(cfg_.banks, Bank{});
   by_channel_.resize(cfg_.channels);
@@ -35,17 +41,17 @@ unsigned Dram::channel_of(PAddr addr) const {
   if (cfg_.channels == 1) return 0;
   switch (cfg_.interleave) {
     case DramInterleave::kRow:
-      return static_cast<unsigned>((addr / cfg_.row_bytes) % cfg_.channels);
+      return static_cast<unsigned>(num_channels_.mod(row_bytes_.div(addr)));
     case DramInterleave::kCacheline:
-      return static_cast<unsigned>((addr / cfg_.interleave_bytes) %
-                                   cfg_.channels);
+      return static_cast<unsigned>(
+          num_channels_.mod(interleave_bytes_.div(addr)));
     case DramInterleave::kXorFold: {
       // Fold every block bit into the channel index so power-of-two strides
       // at any scale rotate channels instead of camping on one.
-      const std::uint64_t blk = addr / cfg_.interleave_bytes;
+      const std::uint64_t blk = interleave_bytes_.div(addr);
       std::uint64_t h = blk;
       for (unsigned s = 2; s < 34; s += 2) h ^= blk >> s;
-      return static_cast<unsigned>(h % cfg_.channels);
+      return static_cast<unsigned>(num_channels_.mod(h));
     }
   }
   return 0;
@@ -60,12 +66,15 @@ Dram::Request Dram::make_request(PAddr addr, std::uint64_t bytes, Cycle t,
   rq.requestor = requestor.value;
   rq.is_write = is_write;
   rq.seq = next_seq_++;
-  rq.row = addr / cfg_.row_bytes;
+  rq.row = row_bytes_.div(addr);
   rq.bank = bank_of(addr);
   return rq;
 }
 
 std::size_t Dram::pick_next(const Channel& ch) const {
+  // A lone request (a read with nothing buffered ahead of it, the common
+  // case) is the pick under either policy.
+  if (ch.queue.size() == 1) return 0;
   std::size_t oldest = 0;
   std::uint64_t oldest_seq = ch.queue[0].seq;
   std::size_t oldest_hit = ch.queue.size();
@@ -88,6 +97,16 @@ std::size_t Dram::pick_next(const Channel& ch) const {
   // FR-FCFS: first-ready (row hit) wins; ties and the no-hit case fall back
   // to arrival order, which is also the whole FCFS policy.
   return oldest_hit < ch.queue.size() ? oldest_hit : oldest;
+}
+
+Dram::Request Dram::take(Channel& ch, std::size_t i) {
+  const Request r = ch.queue[i];
+  if (i + 1 == ch.queue.size()) {
+    ch.queue.pop_back();
+  } else {
+    ch.queue.erase(ch.queue.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+  return r;
 }
 
 Cycle Dram::issue(unsigned ci, const Request& rq) {
@@ -155,8 +174,7 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
   const Cycle data_ready = start + access_lat;
   const Cycle burst_start =
       data_ready > ch.busy_until ? data_ready : ch.busy_until;
-  const Cycle burst =
-      (rq.bytes + cfg_.channel_width_bytes - 1) / cfg_.channel_width_bytes;
+  const Cycle burst = channel_width_.div_ceil(rq.bytes);
   const Cycle done = burst_start + burst;
   bank.busy_until =
       row_hit ? start + kColumnCommandOccupancy : start + access_lat;
@@ -191,9 +209,7 @@ Cycle Dram::access(PAddr addr, std::uint64_t bytes, Cycle t,
   // completes. Requests the policy leaves behind (e.g. row-miss writes a
   // FR-FCFS read bypassed) stay queued for a later pass or drain.
   while (true) {
-    const std::size_t i = pick_next(ch);
-    const Request cur = ch.queue[i];
-    ch.queue.erase(ch.queue.begin() + static_cast<std::ptrdiff_t>(i));
+    const Request cur = take(ch, pick_next(ch));
     note_queue_depth(ci, cur.arrival);
     const Cycle done = issue(ci, cur);
     if (cur.seq == my_seq) return done;
@@ -221,9 +237,7 @@ void Dram::write(PAddr addr, std::uint64_t bytes, Cycle t,
     Cycle last_done = t;
     std::uint64_t drained_bytes = 0;
     while (ch.queue.size() > cfg_.write_drain_floor) {
-      const std::size_t i = pick_next(ch);
-      const Request cur = ch.queue[i];
-      ch.queue.erase(ch.queue.begin() + static_cast<std::ptrdiff_t>(i));
+      const Request cur = take(ch, pick_next(ch));
       note_queue_depth(ci, t);
       drained_bytes += cur.bytes;
       last_done = std::max(last_done, issue(ci, cur));
@@ -239,9 +253,7 @@ void Dram::drain_writes() {
   for (unsigned ci = 0; ci < cfg_.channels; ++ci) {
     Channel& ch = channels_[ci];
     while (!ch.queue.empty()) {
-      const std::size_t i = pick_next(ch);
-      const Request cur = ch.queue[i];
-      ch.queue.erase(ch.queue.begin() + static_cast<std::ptrdiff_t>(i));
+      const Request cur = take(ch, pick_next(ch));
       note_queue_depth(ci, cur.arrival);
       issue(ci, cur);
     }
@@ -275,12 +287,16 @@ void Dram::reset_time() {
 }
 
 std::size_t Dram::requestor_index(int id) {
-  for (std::size_t i = 0; i < by_requestor_.size(); ++i) {
-    if (by_requestor_[i].requestor == id) return i;
+  if (last_slot_ < by_requestor_.size() &&
+      by_requestor_[last_slot_].requestor == id) {
+    return last_slot_;
+  }
+  for (last_slot_ = 0; last_slot_ < by_requestor_.size(); ++last_slot_) {
+    if (by_requestor_[last_slot_].requestor == id) return last_slot_;
   }
   by_requestor_.push_back(RequestorStats{id, 0, 0, 0, 0, {}});
   by_requestor_.back().channel_bytes.assign(cfg_.channels, 0);
-  return by_requestor_.size() - 1;
+  return last_slot_;
 }
 
 }  // namespace gemmini

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/divisor.h"
 #include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
@@ -156,12 +157,12 @@ class Dram {
   /// large-stride streams (e.g. three tensors 1 MB apart) spread across
   /// banks instead of ping-ponging one bank's row buffer.
   unsigned bank_of(PAddr addr) const {
-    const std::uint64_t row = addr / cfg_.row_bytes;
+    const std::uint64_t row = row_bytes_.div(addr);
     // Fold every row bit down into the bank index so power-of-two strides
     // at any scale spread across banks.
     std::uint64_t h = row;
     for (unsigned s = 3; s < 36; s += 3) h ^= row >> s;
-    return static_cast<unsigned>(h % cfg_.banks);
+    return static_cast<unsigned>(num_banks_.mod(h));
   }
 
   /// One line-sized read issued at time `t`. Enqueues into the channel and
@@ -235,6 +236,8 @@ class Dram {
                        RequestorId requestor, bool is_write);
   /// Index into `ch.queue` of the request the scheduler issues next.
   std::size_t pick_next(const Channel& ch) const;
+  /// Removes and returns the scheduler's next pick from `ch.queue`.
+  static Request take(Channel& ch, std::size_t i);
   /// Issues one request on channel `ci` (the old flat model's timing math,
   /// plus refresh windows); returns its completion time.
   Cycle issue(unsigned ci, const Request& rq);
@@ -247,11 +250,17 @@ class Dram {
   std::size_t requestor_index(int id);
 
   DramConfig cfg_;
+  Divisor row_bytes_;
+  Divisor interleave_bytes_;
+  Divisor num_channels_;
+  Divisor num_banks_;
+  Divisor channel_width_;
   trace::Tracer* tracer_;
   fault::Injector* injector_;
   std::vector<Channel> channels_;
   std::uint64_t next_seq_ = 0;
   std::vector<RequestorStats> by_requestor_;
+  std::size_t last_slot_ = 0;  ///< requestor_index memo (see Bus)
   std::vector<ChannelStats> by_channel_;
 };
 

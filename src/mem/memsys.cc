@@ -17,13 +17,15 @@ MemorySystem::MemorySystem(const MemSysConfig& cfg, trace::Tracer* tracer,
 
 Cycle MemorySystem::access(PAddr addr, std::uint64_t bytes, bool write,
                            Cycle t, RequestorId requestor) {
+  // CacheConfig::validate() holds line_bytes to a power of two.
   const unsigned line = cfg_.l2.line_bytes;
+  const PAddr line_mask = line - 1;
   Cycle done = t;
   PAddr cur = addr;
   std::uint64_t remaining = bytes;
   while (remaining > 0) {
     const std::uint64_t in_line =
-        std::min<std::uint64_t>(remaining, line - (cur % line));
+        std::min<std::uint64_t>(remaining, line - (cur & line_mask));
 
     // System bus carries the request (and its data beat) to the L2.
     const Cycle at_l2 = sysbus_.transfer(t, in_line, requestor);
@@ -39,7 +41,7 @@ Cycle MemorySystem::access(PAddr addr, std::uint64_t bytes, bool write,
       // Refill from DRAM over the memory bus; latency is serial:
       // bus to DRAM, DRAM access, bus back (folded into DRAM burst).
       const Cycle at_dram = membus_.transfer(line_done, line, requestor);
-      line_done = dram_.access(cur - (cur % line), line, at_dram, requestor);
+      line_done = dram_.access(cur & ~line_mask, line, at_dram, requestor);
     }
     if (ca.writeback) {
       // Dirty victim drains to DRAM in the background; it occupies the

@@ -146,7 +146,9 @@ class Soc {
   /// Resets timing state (buses, banks, accelerator timelines) but keeps
   /// cache contents and data; call between repetitions.
   void reset_time();
-  /// Full reset including cache tags and TLBs.
+  /// reset_time() plus an L2 flush (tags and dirty bits dropped, no
+  /// writebacks). TLB, filter-register and PTE-cache contents persist, as
+  /// do PhysMem data and address-space mappings.
   void reset_all();
 
  private:

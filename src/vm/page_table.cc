@@ -25,6 +25,9 @@ void AddressSpace::map_page(VAddr va, PAddr pa) {
   }
   const PAddr slot =
       table + vpn_slice(va, kPtLevels - 1) * sizeof(std::uint64_t);
+  GEMMINI_CHECK_MSG(!Pte{mem_.read_scalar<std::uint64_t>(slot)}.valid(),
+                    "map_page: VA 0x" << std::hex << va << std::dec
+                                      << " is already mapped");
   mem_.write_scalar<std::uint64_t>(slot, Pte::make(pa, /*leaf=*/true).raw);
   ++mapped_pages_;
 }
@@ -72,42 +75,23 @@ PAddr AddressSpace::translate(VAddr va) const {
 
 void AddressSpace::write_virt(VAddr va, const void* src,
                               std::size_t bytes) const {
-  Cursor(*this).write(va, src, bytes);
-}
-
-void AddressSpace::read_virt(VAddr va, void* dst, std::size_t bytes) const {
-  Cursor(*this).read(va, dst, bytes);
-}
-
-PAddr AddressSpace::Cursor::paddr_of(VAddr va) {
-  const VAddr vbase = page_base(va);
-  if (!valid_ || vbase != last_vbase_) {
-    last_pbase_ = as_.translate(vbase);
-    last_vbase_ = vbase;
-    valid_ = true;
-  }
-  return last_pbase_ | page_offset(va);
-}
-
-void AddressSpace::Cursor::read(VAddr va, void* dst, std::size_t bytes) {
-  auto* p = static_cast<std::uint8_t*>(dst);
+  const auto* p = static_cast<const std::uint8_t*>(src);
   while (bytes > 0) {
     const std::size_t chunk =
         std::min<std::size_t>(bytes, kPageBytes - page_offset(va));
-    as_.mem_.read(paddr_of(va), p, chunk);
+    mem_.write(translate(va), p, chunk);
     va += chunk;
     p += chunk;
     bytes -= chunk;
   }
 }
 
-void AddressSpace::Cursor::write(VAddr va, const void* src,
-                                 std::size_t bytes) {
-  const auto* p = static_cast<const std::uint8_t*>(src);
+void AddressSpace::read_virt(VAddr va, void* dst, std::size_t bytes) const {
+  auto* p = static_cast<std::uint8_t*>(dst);
   while (bytes > 0) {
     const std::size_t chunk =
         std::min<std::size_t>(bytes, kPageBytes - page_offset(va));
-    as_.mem_.write(paddr_of(va), p, chunk);
+    mem_.read(translate(va), p, chunk);
     va += chunk;
     p += chunk;
     bytes -= chunk;

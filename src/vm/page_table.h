@@ -48,7 +48,10 @@ class AddressSpace {
                VAddr va_base = 0x1'0000'0000ull);
 
   /// Maps the page containing `va` to physical frame `pa` (both page-
-  /// aligned). Intermediate tables are allocated on demand.
+  /// aligned). Intermediate tables are allocated on demand. A mapping is
+  /// permanent: remapping a page that already has a valid leaf fails a
+  /// check. TLBs carry no ASID and see no shootdown, so the DMA relies on
+  /// this to copy through the translations they cache.
   void map_page(VAddr va, PAddr pa);
 
   /// Allocates `bytes` of fresh, mapped virtual memory (page-granular
@@ -66,30 +69,14 @@ class AddressSpace {
   PAddr root() const { return root_; }
   std::uint64_t mapped_pages() const { return mapped_pages_; }
 
+  /// The backing memory that holds this space's pages and page tables.
+  /// (const: a copy through it mutates the PhysMem, not the mapping.)
+  PhysMem& phys() const { return mem_; }
+
   /// Convenience: functional virtual-memory copy helpers for the runtime.
-  /// (const: they mutate the referenced PhysMem, not the mapping itself.)
+  /// Each walks the table once per page touched.
   void write_virt(VAddr va, const void* src, std::size_t bytes) const;
   void read_virt(VAddr va, void* dst, std::size_t bytes) const;
-
-  /// Streaming copier with a one-entry translation cache: chunks at page
-  /// boundaries and walks each page once, *even across calls* — so a burst
-  /// of strided rows landing in one page costs a single functional walk
-  /// (the DMA's functional data path). Always moves data through this
-  /// address space's own backing memory.
-  class Cursor {
-   public:
-    explicit Cursor(const AddressSpace& as) : as_(as) {}
-    void read(VAddr va, void* dst, std::size_t bytes);
-    void write(VAddr va, const void* src, std::size_t bytes);
-
-   private:
-    PAddr paddr_of(VAddr va);
-
-    const AddressSpace& as_;
-    bool valid_ = false;
-    VAddr last_vbase_ = 0;
-    PAddr last_pbase_ = 0;
-  };
 
  private:
   PhysMem& mem_;

@@ -1,13 +1,17 @@
 #include "src/vm/tlb.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace gemmini {
 
-Tlb::Tlb(const TlbConfig& cfg) : cfg_(cfg) {
-  cfg_.validate();
-  entries_.assign(cfg_.entries, Entry{});
-}
+Tlb::Tlb(const TlbConfig& cfg)
+    : cfg_((cfg.validate(), cfg)),
+      num_sets_(cfg_.ways == 0 ? 1 : cfg_.entries / cfg_.ways),
+      set_ways_(cfg_.ways == 0 ? cfg_.entries : cfg_.ways),
+      keys_(cfg_.entries, 0),
+      ppn_(cfg_.entries, 0),
+      lru_(cfg_.entries, 0) {}
 
 std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write) {
   // Consecutive same-page profiling (pre-lookup, per request stream).
@@ -30,29 +34,27 @@ std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write) {
   // refresh — is identical to the scanning path, so timing and statistics
   // are unchanged.
   LastHit& last = is_write ? last_write_hit_ : last_read_hit_;
+  const std::uint64_t key = vpn + 1;
   if (last.valid && last.vpn == vpn) {
-    Entry& e = entries_[last.idx];
-    if (e.valid && e.vpn == vpn) {
-      e.lru = ++lru_clock_;
+    if (keys_[last.idx] == key) {
+      lru_[last.idx] = ++lru_clock_;
       ++stats_.hits;
       ++stats_.fastpath_hits;
-      return e.ppn;
+      return ppn_[last.idx];
     }
     last.valid = false;  // stale: entry was evicted or remapped
   }
 
-  const unsigned set = set_of(vpn);
-  Entry* base = &entries_[static_cast<std::size_t>(set) * set_ways()];
+  const std::size_t base = num_sets_.mod(vpn) * set_ways_;
   ++lru_clock_;
-  for (unsigned w = 0; w < set_ways(); ++w) {
-    Entry& e = base[w];
-    if (e.valid && e.vpn == vpn) {
-      e.lru = lru_clock_;
+  for (std::size_t i = base; i < base + set_ways_; ++i) {
+    if (keys_[i] == key) {
+      lru_[i] = lru_clock_;
       ++stats_.hits;
       last.valid = true;
       last.vpn = vpn;
-      last.idx = static_cast<std::size_t>(set) * set_ways() + w;
-      return e.ppn;
+      last.idx = i;
+      return ppn_[i];
     }
   }
   ++stats_.misses;
@@ -60,34 +62,37 @@ std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write) {
 }
 
 void Tlb::fill(std::uint64_t vpn, std::uint64_t ppn) {
-  const unsigned set = set_of(vpn);
-  Entry* base = &entries_[static_cast<std::size_t>(set) * set_ways()];
+  const std::size_t base = num_sets_.mod(vpn) * set_ways_;
+  const std::size_t end = base + set_ways_;
+  const std::uint64_t key = vpn + 1;
   ++lru_clock_;
-  Entry* victim = nullptr;
-  for (unsigned w = 0; w < set_ways(); ++w) {
-    if (base[w].valid && base[w].vpn == vpn) {
-      victim = &base[w];  // refresh in place
+  // Refresh in place, else the first invalid entry, else the LRU one.
+  std::size_t victim = end;
+  for (std::size_t i = base; i < end; ++i) {
+    if (keys_[i] == key) {
+      victim = i;
       break;
     }
-    if (!base[w].valid && victim == nullptr) victim = &base[w];
+    if (keys_[i] == 0 && victim == end) victim = i;
   }
-  if (victim == nullptr) {
+  if (victim == end) {
     std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (unsigned w = 0; w < set_ways(); ++w) {
-      if (base[w].lru < oldest) {
-        oldest = base[w].lru;
-        victim = &base[w];
+    for (std::size_t i = base; i < end; ++i) {
+      if (lru_[i] < oldest) {
+        oldest = lru_[i];
+        victim = i;
       }
     }
   }
-  victim->valid = true;
-  victim->vpn = vpn;
-  victim->ppn = ppn;
-  victim->lru = lru_clock_;
+  keys_[victim] = key;
+  ppn_[victim] = ppn;
+  lru_[victim] = lru_clock_;
 }
 
 void Tlb::flush() {
-  for (auto& e : entries_) e = Entry{};
+  std::fill(keys_.begin(), keys_.end(), 0);
+  std::fill(ppn_.begin(), ppn_.end(), 0);
+  std::fill(lru_.begin(), lru_.end(), 0);
   have_last_read_ = have_last_write_ = false;
   // Shootdown also drops the last-page filters: the remembered entries are
   // gone, and a post-flush streak must re-walk like the RTL would.

@@ -13,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/base/divisor.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
 
@@ -72,23 +73,14 @@ class Tlb {
   double consecutive_same_page_rate(bool writes) const;
 
  private:
-  struct Entry {
-    bool valid = false;
-    std::uint64_t vpn = 0;
-    std::uint64_t ppn = 0;
-    std::uint64_t lru = 0;
-  };
-
-  unsigned num_sets() const {
-    return cfg_.ways == 0 ? 1 : cfg_.entries / cfg_.ways;
-  }
-  unsigned set_of(std::uint64_t vpn) const { return vpn % num_sets(); }
-  unsigned set_ways() const {
-    return cfg_.ways == 0 ? cfg_.entries : cfg_.ways;
-  }
-
   TlbConfig cfg_;
-  std::vector<Entry> entries_;
+  Divisor num_sets_;
+  unsigned set_ways_;
+  // Per-entry state, set-major (num_sets * set_ways). An entry's key is its
+  // vpn + 1 (0 = invalid), so the set scan reads one dense array of keys.
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint64_t> ppn_;
+  std::vector<std::uint64_t> lru_;
   std::uint64_t lru_clock_ = 0;
   Stats stats_;
 

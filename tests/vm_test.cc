@@ -29,6 +29,20 @@ TEST_F(VmFixture, MapTranslateRoundTrip) {
   EXPECT_EQ(as.translate(0x1'0000'0123ull), 0x9000'0123ull);
 }
 
+TEST_F(VmFixture, RemapOfMappedPageIsRejected) {
+  // Cached translations (TLBs, filter registers, the DMA's copy path) are
+  // never shot down, so a mapping must never change once made.
+  as.map_page(0x1'0000'0000ull, 0x9000'0000ull);
+  EXPECT_DEATH(as.map_page(0x1'0000'0000ull, 0x9000'1000ull),
+               "already mapped");
+  EXPECT_DEATH(as.map_page(0x1'0000'0000ull, 0x9000'0000ull),
+               "already mapped");
+  // The neighbouring page in the same leaf table is still free to map.
+  as.map_page(0x1'0000'1000ull, 0x9000'1000ull);
+  EXPECT_EQ(as.translate(0x1'0000'0123ull), 0x9000'0123ull);
+  EXPECT_EQ(as.translate(0x1'0000'1123ull), 0x9000'1123ull);
+}
+
 TEST_F(VmFixture, AllocMapsWholeRange) {
   const VAddr base = as.alloc(3 * kPageBytes + 100);
   for (VAddr va = base; va < base + 3 * kPageBytes + 100; va += 512) {
